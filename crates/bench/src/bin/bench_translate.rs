@@ -9,7 +9,7 @@
 //! SCC-structured, II-parametric MinDist envelope with its cross-invocation
 //! cache, bitset Swing ordering, and the dense-array list scheduler.
 //!
-//! Three measurements per loop:
+//! Three old-vs-new measurements per loop:
 //!
 //! * **priority + scheduling** — `swing_order` followed by
 //!   `list_schedule` on the separated, CCA-mapped body (the paper's 69% +
@@ -41,8 +41,23 @@
 //! asserted identical between the two kernels — the abstract cost model
 //! is the paper's result and must not move.
 //!
-//! Results are printed and written to `BENCH_translate.json`. Environment
-//! knobs for the CI smoke job: `VEAL_BENCH_APPS` truncates the suite,
+//! Two absolute measurements of the shipped translator, on every
+//! legalized suite loop (the loops the system simulator translates):
+//!
+//! * **per policy** — wall time and `CostMeter` units per loop of a whole
+//!   `Translator::translate` under the fully dynamic, height-priority and
+//!   static-hint policies (the last with the hints the compiler ships),
+//!   and the dynamic/hinted wall ratio: whether Fig. 8's cost argument
+//!   for hints holds in host time, not only in meter units;
+//! * **Fig. 8 measured** — the fully dynamic wall-clock share of each
+//!   phase next to its meter share, on the suite and on a seeded pool of
+//!   synthetic loops shaped like `bench_e2e`'s translate-cold pool. Each
+//!   phase kernel is timed in the order `translate` calls it, and the
+//!   replay's charges are asserted equal to `translate`'s.
+//!
+//! Results are printed and written to `BENCH_translate.json`. Timing keeps
+//! the best of `VEAL_BENCH_PASSES` passes (default 5). Environment knobs
+//! for the CI smoke job: `VEAL_BENCH_APPS` truncates the suite,
 //! `VEAL_BENCH_REPS` sets the timed repetitions per loop (default 5),
 //! and `VEAL_BENCH_MIN_SPEEDUP` (a float) makes the run exit non-zero
 //! when `translate_speedup` lands below the floor.
@@ -65,7 +80,11 @@ use veal::sched::{
 };
 use veal::vm::verify::verify_and_apply_cca;
 use veal::vm::{StaticHints, TranslationPolicy, Translator};
-use veal::{AcceleratorConfig, CcaSpec, Event, JsonlSink, Trace};
+use veal::workloads::{synth_loop, SynthSpec};
+use veal::{
+    compute_hints, legalize, AcceleratorConfig, CcaSpec, Event, JsonlSink, LoopBody, Trace,
+    TransformLimits,
+};
 
 /// The pre-optimization translation kernels (hash-set Swing ordering over
 /// a fresh naive Floyd–Warshall, hash-map list scheduler), retained
@@ -107,6 +126,188 @@ fn min_ns(passes: usize, mut f: impl FnMut()) -> u128 {
         best = best.min(t.elapsed().as_nanos());
     }
     best
+}
+
+/// One timed policy: JSON key, policy, and whether the loops ship their
+/// static hints.
+type PolicyArm = (&'static str, fn() -> TranslationPolicy, bool);
+
+/// The translation policies timed end to end on the legalized suite.
+const POLICIES: [PolicyArm; 3] = [
+    ("fully_dynamic", TranslationPolicy::fully_dynamic, false),
+    ("height", TranslationPolicy::fully_dynamic_height, false),
+    ("static_hints", TranslationPolicy::static_hints, true),
+];
+
+/// Every legalized loop of `apps` (`legalize` + `TransformLimits::default()`,
+/// as the system simulator runs them) with the static hints the compiler
+/// ships for the paper design.
+fn legalized_suite(
+    apps: &[veal::workloads::Application],
+    config: &AcceleratorConfig,
+) -> Vec<(LoopBody, StaticHints)> {
+    let limits = TransformLimits::default();
+    let spec = CcaSpec::paper();
+    apps.iter()
+        .flat_map(|a| &a.loops)
+        .flat_map(|l| legalize(&l.raw, &limits))
+        .map(|part| {
+            let hints = compute_hints(&part.body, config, Some(&spec));
+            (part.body, hints)
+        })
+        .collect()
+}
+
+/// `n` distinct seeded synthetic loops of 4–32 compute ops, with the shape
+/// mix of the serving load generator: the population of `bench_e2e`'s
+/// translate-cold pool beyond its suite loops.
+fn synthetic_pool(n: usize) -> Vec<LoopBody> {
+    let mut rng = veal::ir::rng::Rng64::new(0x5EED_F168);
+    let mut seen = std::collections::HashSet::new();
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let body = synth_loop(&SynthSpec {
+            seed: rng.next_u64(),
+            compute_ops: rng.gen_range(4, 33),
+            fp_frac: [0.0, 0.4, 0.8][rng.gen_range(0, 3)],
+            loads: rng.gen_range(1, 5),
+            stores: rng.gen_range(1, 3),
+            recurrences: rng.gen_range(0, 3),
+            rec_distance: rng.gen_range(1, 4) as u32,
+        });
+        if seen.insert(body.content_hash()) {
+            out.push(body);
+        }
+    }
+    out
+}
+
+/// Adds the wall time of each phase kernel of one fully dynamic
+/// translation of `body` to `wall`, calling the kernels in the order and
+/// with the inputs `Translator::translate` gives them, and returns the
+/// charges they made (asserted equal to `translate`'s by the caller).
+/// Loop identification has no kernel of its own — the translator charges
+/// it as a constant — so its wall share is zero by construction.
+fn dynamic_phase_walls(
+    body: &LoopBody,
+    config: &AcceleratorConfig,
+    spec: &CcaSpec,
+    wall: &mut [u128; 10],
+) -> PhaseBreakdown {
+    let mut m = CostMeter::new();
+    m.charge(Phase::LoopIdent, body.dfg.len() as u64 + 8);
+    let mut clock = |p: Phase, t: Instant| wall[p as usize] += t.elapsed().as_nanos();
+    let t = Instant::now();
+    let sep = separate(&body.dfg, &mut m);
+    clock(Phase::StreamSep, t);
+    let Ok(sep) = sep else {
+        return *m.breakdown();
+    };
+    let summary = sep.summary();
+    let mut dfg = sep.dfg;
+    let t = Instant::now();
+    veal::cca::map_cca(&mut dfg, spec, &mut m);
+    clock(Phase::CcaMapping, t);
+    if config.check_streams(summary).is_err() {
+        return *m.breakdown();
+    }
+    let t = Instant::now();
+    let res = res_mii(&dfg, config, summary, &mut m);
+    clock(Phase::ResMii, t);
+    let t = Instant::now();
+    let rec = rec_mii(&dfg, &config.latencies, &mut m);
+    clock(Phase::RecMii, t);
+    let mii = res.max(rec);
+    if mii > config.max_ii {
+        return *m.breakdown();
+    }
+    let t = Instant::now();
+    let order = swing_order(&dfg, &config.latencies, mii, &mut m);
+    clock(Phase::Priority, t);
+    // The same register-pressure retry loop as `modulo_schedule`.
+    let mut ii = mii;
+    for _ in 0..8 {
+        let t = Instant::now();
+        let sched = list_schedule(&dfg, config, &order, ii, summary, &mut m);
+        clock(Phase::Scheduling, t);
+        let Ok(sched) = sched else { break };
+        let t = Instant::now();
+        let regs = assign_registers(&dfg, &sched, config, &mut m);
+        clock(Phase::RegAssign, t);
+        if regs.is_ok() || sched.ii >= config.max_ii {
+            break;
+        }
+        ii = sched.ii + 1;
+    }
+    *m.breakdown()
+}
+
+/// Fully dynamic wall-clock share per phase over `bodies`, against the
+/// meter's share: `(phase, wall %, unit %)` in [`ALL_PHASES`] order. Each
+/// phase keeps its best total over `passes` whole passes. A population
+/// larger than the MinDist cache (64 entries per thread) reaches every
+/// loop with its frontier evicted, so the priority row includes building
+/// it, as a first translation does.
+fn fig8_shares(
+    bodies: &[&LoopBody],
+    config: &AcceleratorConfig,
+    passes: usize,
+) -> Vec<(Phase, f64, f64)> {
+    let spec = CcaSpec::paper();
+    let translator = Translator::new(
+        config.clone(),
+        Some(spec.clone()),
+        TranslationPolicy::fully_dynamic(),
+    );
+    let mut units = [0u64; 10];
+    for body in bodies {
+        let want = translator.translate(body, &StaticHints::none()).breakdown;
+        let got = dynamic_phase_walls(body, config, &spec, &mut [0; 10]);
+        assert_eq!(want, got, "{}: phase replay charges diverged", body.name);
+        for &p in ALL_PHASES {
+            units[p as usize] += got.get(p);
+        }
+    }
+    let mut best = [u128::MAX; 10];
+    for _ in 0..passes {
+        let mut wall = [0u128; 10];
+        for body in bodies {
+            dynamic_phase_walls(body, config, &spec, &mut wall);
+        }
+        for (b, w) in best.iter_mut().zip(wall) {
+            *b = (*b).min(w);
+        }
+    }
+    let wall_total: u128 = best.iter().sum();
+    let unit_total: u64 = units.iter().sum();
+    ALL_PHASES
+        .iter()
+        .map(|&p| {
+            let i = p as usize;
+            (
+                p,
+                100.0 * best[i] as f64 / wall_total.max(1) as f64,
+                100.0 * units[i] as f64 / unit_total.max(1) as f64,
+            )
+        })
+        .collect()
+}
+
+/// The `fig8_wall_share` JSON object for one population.
+fn shares_json(loops: usize, shares: &[(Phase, f64, f64)]) -> String {
+    let rows: Vec<String> = shares
+        .iter()
+        .map(|(p, w, u)| {
+            format!(
+                "        \"{}\": {{ \"wall_pct\": {w:.2}, \"unit_pct\": {u:.2} }}",
+                p.name()
+            )
+        })
+        .collect();
+    format!(
+        "{{\n      \"loops\": {loops},\n      \"phases\": {{\n{}\n      }}\n    }}",
+        rows.join(",\n")
+    )
 }
 
 /// Parses `--trace-out <path>` from argv; `None` when absent.
@@ -239,7 +440,7 @@ fn main() {
     let max_apps = env_usize("VEAL_BENCH_APPS", usize::MAX);
     apps.truncate(max_apps);
     let reps = env_usize("VEAL_BENCH_REPS", 5).max(1) as u32;
-    let passes = env_usize("VEAL_BENCH_PASSES", 3).max(1);
+    let passes = env_usize("VEAL_BENCH_PASSES", 5).max(1);
     let config = AcceleratorConfig::paper_design();
     let prepped = prep_suite(&apps, &config);
     println!(
@@ -610,6 +811,54 @@ fn main() {
     let concretize_speedup = ph_old[Phase::Concretize as usize] as f64
         / ph_new[Phase::Concretize as usize].max(1) as f64;
 
+    // --- translation wall time per policy --------------------------------
+    // The paper's case for static hints is a cost argument (Fig. 8); the
+    // meter gives the units, this section the host wall time of the same
+    // translations. Every legalized suite loop is translated under each
+    // policy; a timed pass covers the whole suite, passes interleave the
+    // policies, and each policy keeps its best pass.
+    let suite = legalized_suite(&apps, &config);
+    let none = StaticHints::none();
+    let translators: Vec<(bool, Translator)> = POLICIES
+        .iter()
+        .map(|&(_, policy, hinted)| {
+            let tr = Translator::new(config.clone(), Some(CcaSpec::paper()), policy());
+            (hinted, tr)
+        })
+        .collect();
+    let mut policy_units = [0u64; POLICIES.len()];
+    for (k, (hinted, tr)) in translators.iter().enumerate() {
+        for (body, hints) in &suite {
+            policy_units[k] += tr
+                .translate(body, if *hinted { hints } else { &none })
+                .cost();
+        }
+    }
+    let mut policy_ns = [u128::MAX; POLICIES.len()];
+    for _ in 0..passes {
+        for (k, (hinted, tr)) in translators.iter().enumerate() {
+            let ns = min_ns(1, || {
+                for (body, hints) in &suite {
+                    std::hint::black_box(tr.translate(body, if *hinted { hints } else { &none }));
+                }
+            });
+            policy_ns[k] = policy_ns[k].min(ns);
+        }
+    }
+    let n_suite = suite.len().max(1);
+    let wall_us = |k: usize| policy_ns[k] as f64 / 1e3 / n_suite as f64;
+    let units_per = |k: usize| policy_units[k] as f64 / n_suite as f64;
+    let hinted = POLICIES.len() - 1;
+    let hint_wall_ratio = wall_us(0) / wall_us(hinted).max(1e-9);
+    let hint_unit_ratio = units_per(0) / units_per(hinted).max(1e-9);
+
+    // --- Fig. 8 measured: fully dynamic wall share per phase -------------
+    let suite_bodies: Vec<&LoopBody> = suite.iter().map(|(b, _)| b).collect();
+    let synthetic = synthetic_pool(512);
+    let synth_bodies: Vec<&LoopBody> = synthetic.iter().collect();
+    let suite_shares = fig8_shares(&suite_bodies, &config, passes);
+    let synth_shares = fig8_shares(&synth_bodies, &config, passes);
+
     let ms = |ns: u128| ns as f64 / 1e6;
     println!("priority+sched measured over {points} (loop, II) points");
     let old_ps = ms(old_prio_ns + old_sched_ns);
@@ -634,6 +883,29 @@ fn main() {
         ms(new_e2e_ns)
     );
     println!("outputs          : bit-identical across both kernels");
+    println!(
+        "translate per policy ({} legalized suite loops):",
+        suite.len()
+    );
+    for (k, (name, _, _)) in POLICIES.iter().enumerate() {
+        println!(
+            "  {name:<14} : {:>8.1} us/loop  {:>8.0} units/loop",
+            wall_us(k),
+            units_per(k)
+        );
+    }
+    println!("  dynamic/hinted : {hint_wall_ratio:.2}x wall, {hint_unit_ratio:.2}x units");
+    println!("fully dynamic wall share per phase (suite | synthetic pool; meter share):");
+    for (s, y) in suite_shares.iter().zip(&synth_shares) {
+        println!(
+            "  {:<12} : {:>5.1}% | {:>5.1}%   (meter {:>5.1}% | {:>5.1}%)",
+            s.0.name(),
+            s.1,
+            y.1,
+            s.2,
+            y.2
+        );
+    }
 
     let mut phases_json = String::new();
     for (k, &p) in ALL_PHASES.iter().enumerate() {
@@ -646,6 +918,24 @@ fn main() {
             if k + 1 < ALL_PHASES.len() { "," } else { "" }
         ));
     }
+    let policy_rows: Vec<String> = POLICIES
+        .iter()
+        .enumerate()
+        .map(|(k, (name, _, _))| {
+            format!(
+                "    \"{name}\": {{ \"wall_us_per_loop\": {:.2}, \"units_per_loop\": {:.1} }}",
+                wall_us(k),
+                units_per(k)
+            )
+        })
+        .collect();
+    let policies_json = format!(
+        "{{\n    \"loops\": {},\n    \"passes\": {passes},\n{},\n    \
+         \"dynamic_hinted_wall_ratio\": {hint_wall_ratio:.3},\n    \
+         \"dynamic_hinted_units_ratio\": {hint_unit_ratio:.3}\n  }}",
+        suite.len(),
+        policy_rows.join(",\n")
+    );
     let json = format!(
         "{{\n  \"suite\": \"full\",\n  \"apps\": {},\n  \"loops_schedulable\": {},\n  \
          \"ii_points\": {},\n  \"reps_per_point\": {},\n  \"old_priority_ms\": {:.3},\n  \
@@ -655,6 +945,8 @@ fn main() {
          \"phases\": {{\n{}  }},\n  \
          \"old_translate_ms\": {:.3},\n  \"new_translate_ms\": {:.3},\n  \
          \"translate_speedup\": {:.3},\n  \"symbolic_concretize_speedup\": {:.3},\n  \
+         \"policies\": {},\n  \
+         \"fig8_wall_share\": {{\n    \"suite\": {},\n    \"synthetic\": {}\n  }},\n  \
          \"bit_identical\": true\n}}\n",
         apps.len(),
         prepped.len(),
@@ -672,6 +964,9 @@ fn main() {
         ms(new_e2e_ns),
         e2e_speedup,
         concretize_speedup,
+        policies_json,
+        shares_json(suite.len(), &suite_shares),
+        shares_json(synthetic.len(), &synth_shares),
     );
     if let Err(e) = std::fs::write("BENCH_translate.json", json) {
         eprintln!("bench_translate: failed to write BENCH_translate.json: {e}");

@@ -579,20 +579,7 @@ pub fn recurrences_ok_in(
     cond: &Condensation,
     s: &mut LegalityScratch,
 ) -> bool {
-    recurrences_ok_parts(dfg, spec, group, cond.comps(), cond.cyclic_flags(), s)
-}
-
-/// The recurrence rule against an explicit SCC partition, for callers that
-/// computed components without a full [`Condensation`] (see
-/// [`is_legal_group_current`]).
-fn recurrences_ok_parts(
-    dfg: &Dfg,
-    spec: &CcaSpec,
-    group: &[OpId],
-    comps: &[Vec<OpId>],
-    cyclic: &[bool],
-    s: &mut LegalityScratch,
-) -> bool {
+    let (comps, cyclic) = (cond.comps(), cond.cyclic_flags());
     let adj = dfg.adjacency();
     s.load_group(group, adj.len());
     for (ci, scc) in comps.iter().enumerate() {
@@ -693,57 +680,6 @@ fn weakly_connected_in(dfg: &Dfg, s: &mut LegalityScratch) -> bool {
     reached == n_nodes
 }
 
-/// [`is_convex`] by direct search, without the reachability closure: BFS
-/// forward over distance-0 edges from the members' *external* successors,
-/// staying on external nodes; the group is non-convex exactly when the
-/// search re-enters a member. (Split any closure witness `u ∈ G ⇝ x ∉ G ⇝
-/// v ∈ G` at the last member before `x` and the first member after it —
-/// the segments between are external-only, so this BFS finds them.)
-///
-/// For the thousands of trials the identify phase runs per graph the
-/// cached closure amortizes and wins; for a single query against a
-/// transient graph this O(V + E) walk wins.
-#[must_use]
-pub fn is_convex_bfs(dfg: &Dfg, group: &[OpId], s: &mut LegalityScratch) -> bool {
-    let adj = dfg.adjacency();
-    let edges = dfg.edges();
-    let words = adj.len().div_ceil(64);
-    s.load_group(group, adj.len());
-    s.wa.clear();
-    s.wa.resize(words, 0);
-    s.work.clear();
-    for &m in group {
-        for &ei in adj.succ_edge_ids(m.index()) {
-            let e = &edges[ei as usize];
-            let d = e.dst.index();
-            if e.distance == 0 && !bit(&s.set, d) && !adj.is_dead(d) && !bit(&s.wa, d) {
-                set_bit(&mut s.wa, d);
-                s.work.push(d as u32);
-            }
-        }
-    }
-    while let Some(x) = s.work.pop() {
-        for &ei in adj.succ_edge_ids(x as usize) {
-            let e = &edges[ei as usize];
-            if e.distance != 0 {
-                continue;
-            }
-            let d = e.dst.index();
-            if adj.is_dead(d) {
-                continue;
-            }
-            if bit(&s.set, d) {
-                return false; // escaped path re-enters the group
-            }
-            if !bit(&s.wa, d) {
-                set_bit(&mut s.wa, d);
-                s.work.push(d as u32);
-            }
-        }
-    }
-    true
-}
-
 /// Full legality check for a candidate group: every member CCA-supported,
 /// row-assignable, within the IO budget, convex, and recurrence-safe.
 #[must_use]
@@ -822,82 +758,454 @@ pub fn is_legal_group_in(
     recurrences_ok_in(dfg, spec, group, cond, s)
 }
 
-/// [`is_legal_group`] against a transient graph, with no cached
-/// [`Condensation`] available: convexity runs as [`is_convex_bfs`] and the
-/// recurrence rule against the graph's cached SCC membership
-/// ([`veal_ir::Dfg::scc_view`]). Verdicts are identical to
-/// [`is_legal_group`] on the same graph — the mapper's commit loop uses
-/// this to re-validate each group against the evolving graph, where it
-/// asks exactly one legality question per collapse and rebuilding the
-/// closure would dwarf the query.
-#[must_use]
-pub fn is_legal_group_current(
-    dfg: &Dfg,
-    spec: &CcaSpec,
-    group: &[OpId],
-    s: &mut LegalityScratch,
-) -> bool {
-    if group.is_empty() {
-        return false;
-    }
-    let opcs = dfg.adjacency().opcodes();
-    for &m in group {
-        let ok = Opcode::decode(opcs[m.index()]).is_some_and(|op| op.cca_supported());
-        if !ok {
-            return false;
-        }
-    }
-    let io = group_io_in(dfg, group, s);
-    if io.inputs > spec.inputs || io.outputs > spec.outputs {
-        return false;
-    }
-    if !assign_rows_fill_in(dfg, spec, group, s) {
-        return false;
-    }
-    if !is_convex_bfs(dfg, group, s) {
-        return false;
-    }
-    let scc_view = dfg.scc_view();
-    recurrences_ok_membership(dfg, spec, group, &scc_view.comp_of, &scc_view.cyclic, s)
+/// Group legality against the graph a sequence of collapses *would*
+/// produce, without performing them.
+///
+/// Both commit disciplines — the mapper's commit loop and hint
+/// verification — ask each group's legality on the graph left by
+/// collapsing every earlier accepted group. Collapsing for real rewrites
+/// the edge array and forces a fresh CSR adjacency and SCC view per group.
+/// The probe answers from the base graph's structures instead:
+///
+/// * a collapsed group is a class of base slots standing for its `Cca`
+///   node, which [`Dfg::collapse`] gives every external edge of every
+///   member (so IO counts and the convexity search map edge endpoints
+///   through the class table);
+/// * the SCC partition is a union–find over the base components.
+///   Collapsing a group merges exactly the components lying on a path from
+///   the group back to it (forward ∩ backward reach), and nothing else;
+///   a component that gains the new node beside any other node is a
+///   recurrence;
+/// * row assignment and weak connectivity look only at edges between the
+///   group's own (uncollapsed) members, which collapsing never changes —
+///   provided the base edge array is canonical, because a collapse
+///   re-sorts it. A base that is not canonical, or that carries edges to
+///   dead slots, is collapsed for real once, at the first accepted group;
+///   every later group is checked against that canonical graph.
+///
+/// Verdicts equal [`is_legal_group`] on the collapsed graph; the caller
+/// applies the accepted groups once, with [`Dfg::collapse_all`].
+#[derive(Debug)]
+pub struct CollapseProbe<'a> {
+    base: std::borrow::Cow<'a, Dfg>,
+    /// Whether `base`'s edges are strictly canonical with live endpoints.
+    canonical: bool,
+    /// Groups collapsed on top of `base`; group `i` is node `base.len() + i`.
+    groups: usize,
+    /// Per base slot: the collapsed group owning it, or `NONE`.
+    owner: Vec<u32>,
+    /// Members of collapsed group `i`: `members[starts[i]..starts[i + 1]]`.
+    members: Vec<u32>,
+    starts: Vec<u32>,
+    /// Base SCC component per slot (`NONE` for dead slots).
+    comp_of: Vec<u32>,
+    /// Union–find parent per base component.
+    parent: Vec<u32>,
+    /// Per component root: whether it is a recurrence (bitset).
+    cyclic: Vec<u64>,
+    /// Forward/backward reach of the group being collapsed.
+    fwd: Vec<u64>,
+    bwd: Vec<u64>,
+    scratch: LegalityScratch,
 }
 
-/// The recurrence rule against an SCC membership map (see
-/// [`veal_ir::scc_membership`]) instead of materialized component lists.
-/// Each recurrence intersecting the group is checked once: its group
-/// members (ascending id, since `group` is sorted) must number at least
-/// the CCA latency and be weakly connected — the same predicate as
-/// [`recurrences_ok`], just without touching recurrences the group does
-/// not meet.
-fn recurrences_ok_membership(
-    dfg: &Dfg,
-    spec: &CcaSpec,
-    group: &[OpId],
-    comp_of: &[u32],
-    cyclic: &[u64],
-    s: &mut LegalityScratch,
-) -> bool {
-    for (i, &m) in group.iter().enumerate() {
-        let c = comp_of[m.index()] as usize;
-        if cyclic[c / 64] >> (c % 64) & 1 == 0 {
-            continue;
-        }
-        if group[..i].iter().any(|&p| comp_of[p.index()] as usize == c) {
-            continue; // this recurrence already checked
-        }
-        s.work.clear();
-        for &g in group {
-            if comp_of[g.index()] as usize == c {
-                s.work.push(g.index() as u32);
-            }
-        }
-        if (s.work.len() as u32) < spec.latency {
-            return false;
-        }
-        if !weakly_connected_in(dfg, s) {
-            return false;
+const NONE: u32 = u32::MAX;
+
+/// The collapsed-graph node standing for base slot `v`: the slot itself,
+/// or the node of the group that owns it.
+fn node_of(owner: &[u32], base_len: usize, v: usize) -> usize {
+    match owner[v] {
+        NONE => v,
+        g => base_len + g as usize,
+    }
+}
+
+impl<'a> CollapseProbe<'a> {
+    /// A probe over `dfg` with nothing collapsed yet.
+    #[must_use]
+    pub fn new(dfg: &'a Dfg) -> Self {
+        let key = |e: &veal_ir::DfgEdge| (e.src, e.dst, e.distance, e.kind as u8);
+        let adj = dfg.adjacency();
+        let edges = dfg.edges();
+        let canonical = edges.windows(2).all(|w| key(&w[0]) < key(&w[1]))
+            && (!adj.any_dead()
+                || edges
+                    .iter()
+                    .all(|e| !adj.is_dead(e.src.index()) && !adj.is_dead(e.dst.index())));
+        let mut probe = with_arena(|a| CollapseProbe {
+            base: std::borrow::Cow::Borrowed(dfg),
+            canonical,
+            groups: 0,
+            owner: a.take_u32(),
+            members: a.take_u32(),
+            starts: a.take_u32(),
+            comp_of: a.take_u32(),
+            parent: a.take_u32(),
+            cyclic: a.take_u64(),
+            fwd: a.take_u64(),
+            bwd: a.take_u64(),
+            scratch: LegalityScratch::new(),
+        });
+        probe.load_base();
+        probe
+    }
+
+    /// Resets the class table and SCC state to `self.base` as it stands.
+    fn load_base(&mut self) {
+        let n = self.base.len();
+        self.groups = 0;
+        self.owner.clear();
+        self.owner.resize(n, NONE);
+        self.members.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        let scc = self.base.scc_view();
+        self.comp_of.clear();
+        self.comp_of.extend_from_slice(&scc.comp_of);
+        self.parent.clear();
+        self.parent.extend(0..scc.n_comps as u32);
+        self.cyclic.clear();
+        self.cyclic.extend_from_slice(&scc.cyclic);
+    }
+
+    /// Node slots in the collapsed graph (base slots plus one per group).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.base.len() + self.groups
+    }
+
+    /// Whether the collapsed graph has no node slots.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether `id` is a live operation of the collapsed graph (the `Cca`
+    /// nodes of collapsed groups are; their members are not).
+    #[must_use]
+    pub fn is_schedulable(&self, id: OpId) -> bool {
+        let i = id.index();
+        if i < self.base.len() {
+            self.base.adjacency().is_schedulable(i) && self.owner[i] == NONE
+        } else {
+            i < self.len()
         }
     }
-    true
+
+    fn find(&mut self, mut c: u32) -> u32 {
+        while self.parent[c as usize] != c {
+            let up = self.parent[self.parent[c as usize] as usize];
+            self.parent[c as usize] = up;
+            c = up;
+        }
+        c
+    }
+
+    /// [`is_legal_group`] against the collapsed graph.
+    pub fn is_legal(&mut self, spec: &CcaSpec, group: &[OpId]) -> bool {
+        if group.is_empty() {
+            return false;
+        }
+        let opcs = self.base.adjacency().opcodes();
+        for &m in group {
+            // Collapsed members are dead and group nodes are `Cca`: neither
+            // is CCA-supported.
+            let i = m.index();
+            let supported = i < self.base.len()
+                && self.owner[i] == NONE
+                && Opcode::decode(opcs[i]).is_some_and(|op| op.cca_supported());
+            if !supported {
+                return false;
+            }
+        }
+        // Every member is now an uncollapsed base op.
+        self.io_fits(spec, group)
+            && assign_rows_fill_in(&self.base, spec, group, &mut self.scratch)
+            && self.is_convex(group)
+            && self.recurrences_ok(spec, group)
+    }
+
+    /// [`group_io_in`] on the collapsed graph, checked against `spec`.
+    fn io_fits(&mut self, spec: &CcaSpec, group: &[OpId]) -> bool {
+        let len = self.len();
+        let words = len.div_ceil(64);
+        let base: &Dfg = &self.base;
+        let adj = base.adjacency();
+        let edges = base.edges();
+        let node = |v: usize| node_of(&self.owner, base.len(), v);
+        let s = &mut self.scratch;
+        s.load_group(group, len);
+        s.wa.clear();
+        s.wa.resize(words, 0);
+        s.wb.clear();
+        s.wb.resize(words, 0);
+        for &m in group {
+            for &ei in adj.pred_edge_ids(m.index()) {
+                let e = &edges[ei as usize];
+                let src = node(e.src.index());
+                if !bit(&s.set, src) || e.distance > 0 {
+                    set_bit(&mut s.wa, src);
+                }
+            }
+            for &ei in adj.succ_edge_ids(m.index()) {
+                let e = &edges[ei as usize];
+                if !bit(&s.set, node(e.dst.index())) || e.distance > 0 {
+                    set_bit(&mut s.wb, m.index());
+                }
+            }
+            if base.node(m).live_out {
+                set_bit(&mut s.wb, m.index());
+            }
+        }
+        count_ones(&s.wa) <= spec.inputs && count_ones(&s.wb) <= spec.outputs
+    }
+
+    /// [`is_convex`] on the collapsed graph, by direct search instead of
+    /// a reachability closure: BFS forward over distance-0 edges from the
+    /// members' external successors, staying outside the group; the group
+    /// is non-convex exactly when the search re-enters it. (Split any
+    /// closure witness `u ∈ G ⇝ x ∉ G ⇝ v ∈ G` at the last member before
+    /// `x` and the first member after it — the segments between are
+    /// external-only, so this search finds them.) A collapsed node's
+    /// successors are its members' successors.
+    fn is_convex(&mut self, group: &[OpId]) -> bool {
+        let len = self.len();
+        let n = self.base.len();
+        let base: &Dfg = &self.base;
+        let adj = base.adjacency();
+        let edges = base.edges();
+        let node = |v: usize| node_of(&self.owner, n, v);
+        let s = &mut self.scratch;
+        s.load_group(group, len);
+        s.wa.clear();
+        s.wa.resize(len.div_ceil(64), 0);
+        s.work.clear();
+        for &m in group {
+            for &ei in adj.succ_edge_ids(m.index()) {
+                let e = &edges[ei as usize];
+                if e.distance != 0 || adj.is_dead(e.dst.index()) {
+                    continue;
+                }
+                let d = node(e.dst.index());
+                if !bit(&s.set, d) && !bit(&s.wa, d) {
+                    set_bit(&mut s.wa, d);
+                    s.work.push(d as u32);
+                }
+            }
+        }
+        while let Some(x) = s.work.pop() {
+            let one = [x];
+            let x = x as usize;
+            let from: &[u32] = if x < n {
+                &one
+            } else {
+                let g = x - n;
+                &self.members[self.starts[g] as usize..self.starts[g + 1] as usize]
+            };
+            for &y in from {
+                for &ei in adj.succ_edge_ids(y as usize) {
+                    let e = &edges[ei as usize];
+                    if e.distance != 0 || adj.is_dead(e.dst.index()) {
+                        continue;
+                    }
+                    let d = node(e.dst.index());
+                    if bit(&s.set, d) {
+                        return false; // escaped path re-enters the group
+                    }
+                    if !bit(&s.wa, d) {
+                        set_bit(&mut s.wa, d);
+                        s.work.push(d as u32);
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// [`recurrences_ok`] against the collapsed graph's SCC partition.
+    /// Each recurrence meeting the group is checked once, at its first
+    /// member: its members in the group (in group order) must number at
+    /// least the CCA latency and be weakly connected.
+    fn recurrences_ok(&mut self, spec: &CcaSpec, group: &[OpId]) -> bool {
+        for (i, &m) in group.iter().enumerate() {
+            let c = self.find(self.comp_of[m.index()]);
+            if self.cyclic[c as usize / 64] >> (c % 64) & 1 == 0 {
+                continue;
+            }
+            let mut seen = false;
+            for &p in &group[..i] {
+                seen |= self.find(self.comp_of[p.index()]) == c;
+            }
+            if seen {
+                continue; // this recurrence already checked
+            }
+            self.scratch.work.clear();
+            for &g in group {
+                if self.find(self.comp_of[g.index()]) == c {
+                    self.scratch.work.push(g.index() as u32);
+                }
+            }
+            if (self.scratch.work.len() as u32) < spec.latency {
+                return false;
+            }
+            // Edges among uncollapsed members are the base graph's.
+            let base: &Dfg = &self.base;
+            if !weakly_connected_in(base, &mut self.scratch) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Records `group` (which must be legal) as collapsed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group is empty or a member is out of range or
+    /// already collapsed by an earlier group.
+    pub fn collapse(&mut self, group: &[OpId]) {
+        assert!(!group.is_empty(), "cannot collapse an empty member set");
+        if self.groups == 0 && !self.canonical {
+            let mut g = self.base.clone().into_owned();
+            g.collapse(group);
+            self.base = std::borrow::Cow::Owned(g);
+            self.canonical = true;
+            self.load_base();
+            return;
+        }
+        let n = self.base.len();
+        let g = self.groups as u32;
+        for &m in group {
+            let owner = &mut self.owner[m.index()];
+            assert!(
+                *owner == NONE || *owner == g,
+                "member {m} already collapsed"
+            );
+            if *owner == NONE {
+                *owner = g;
+                self.members.push(m.index() as u32);
+            }
+        }
+        self.starts.push(self.members.len() as u32);
+        self.groups += 1;
+
+        // Merge the components on a path from the group back to it.
+        let first = self.find(self.comp_of[group[0].index()]);
+        let mut spans = false;
+        for &m in &group[1..] {
+            spans |= self.find(self.comp_of[m.index()]) != first;
+        }
+        if !spans {
+            return; // one component: the partition of other nodes stands
+        }
+        // A path from the group back to it re-enters through an edge whose
+        // source the group reaches; without one, the group's components
+        // held only its own members and nothing else merges.
+        self.reach(group, true);
+        let (base, fwd, owner): (&Dfg, _, _) = (&self.base, &self.fwd, &self.owner);
+        let adj = base.adjacency();
+        let reenters = group.iter().any(|m| {
+            adj.pred_edge_ids(m.index()).iter().any(|&ei| {
+                let v = base.edges()[ei as usize].src.index();
+                !adj.is_dead(v) && bit(fwd, v) && owner[v] != g
+            })
+        });
+        if !reenters {
+            return;
+        }
+        self.reach(group, false);
+        let words = n.div_ceil(64);
+        let mut root = first;
+        let mut other = false;
+        for w in 0..words {
+            let mut word = self.fwd[w] & self.bwd[w];
+            while word != 0 {
+                let v = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                other |= self.owner[v] != g;
+                let c = self.find(self.comp_of[v]);
+                if c != root {
+                    self.parent[c as usize] = root;
+                }
+                root = self.find(root);
+            }
+        }
+        let bits = &mut self.cyclic[root as usize / 64];
+        if other {
+            *bits |= 1 << (root % 64);
+        } else {
+            *bits &= !(1 << (root % 64));
+        }
+    }
+
+    /// Base slots reachable from (`forward`) or reaching (`!forward`) the
+    /// newest collapsed group over edges of any distance, into `fwd`/`bwd`.
+    /// Reaching any member of a collapsed group reaches its node, hence
+    /// all of its members.
+    fn reach(&mut self, group: &[OpId], forward: bool) {
+        let n = self.base.len();
+        let base: &Dfg = &self.base;
+        let adj = base.adjacency();
+        let edges = base.edges();
+        let mut seen = std::mem::take(if forward {
+            &mut self.fwd
+        } else {
+            &mut self.bwd
+        });
+        seen.clear();
+        seen.resize(n.div_ceil(64), 0);
+        let work = &mut self.scratch.work;
+        work.clear();
+        for &m in group {
+            set_bit(&mut seen, m.index());
+            work.push(m.index() as u32);
+        }
+        while let Some(y) = work.pop() {
+            let ids = if forward {
+                adj.succ_edge_ids(y as usize)
+            } else {
+                adj.pred_edge_ids(y as usize)
+            };
+            for &ei in ids {
+                let e = &edges[ei as usize];
+                let v = if forward { e.dst } else { e.src }.index();
+                if adj.is_dead(v) || bit(&seen, v) {
+                    continue;
+                }
+                let owner = self.owner[v];
+                if owner == NONE {
+                    set_bit(&mut seen, v);
+                    work.push(v as u32);
+                } else {
+                    let g = owner as usize;
+                    for &u in &self.members[self.starts[g] as usize..self.starts[g + 1] as usize] {
+                        set_bit(&mut seen, u as usize);
+                        work.push(u);
+                    }
+                }
+            }
+        }
+        *(if forward {
+            &mut self.fwd
+        } else {
+            &mut self.bwd
+        }) = seen;
+    }
+}
+
+impl Drop for CollapseProbe<'_> {
+    fn drop(&mut self) {
+        with_arena(|a| {
+            a.give_u32(std::mem::take(&mut self.owner));
+            a.give_u32(std::mem::take(&mut self.members));
+            a.give_u32(std::mem::take(&mut self.starts));
+            a.give_u32(std::mem::take(&mut self.comp_of));
+            a.give_u32(std::mem::take(&mut self.parent));
+            a.give_u64(std::mem::take(&mut self.cyclic));
+            a.give_u64(std::mem::take(&mut self.fwd));
+            a.give_u64(std::mem::take(&mut self.bwd));
+        });
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! groups *and* the phase breakdown are identical.
 
 use crate::legality::{
-    is_legal_group, is_legal_group_in, is_legal_group_reference, LegalityScratch,
+    is_legal_group, is_legal_group_in, is_legal_group_reference, CollapseProbe, LegalityScratch,
 };
 use crate::spec::CcaSpec;
 use std::collections::HashSet;
@@ -311,39 +311,40 @@ fn provisional_ok_fast(
 /// See the crate-level example.
 pub fn map_cca(dfg: &mut Dfg, spec: &CcaSpec, meter: &mut CostMeter) -> Vec<CcaGroup> {
     let groups = identify_groups(dfg, spec, meter);
-    let mut scratch = data_oriented_enabled().then(LegalityScratch::new);
+    // Groups were identified against the original graph; two groups that
+    // feed each other would deadlock as atomic units, so re-validate each
+    // against the evolving graph (earlier collapses are single nodes now)
+    // and skip any that became illegal. The fast path asks each question
+    // of a `CollapseProbe` and applies the survivors in one pass; the
+    // reference path collapses group by group and rebuilds the
+    // condensation for every check. Verdicts are identical.
     let mut committed = Vec::new();
+    if !data_oriented_enabled() {
+        for g in groups {
+            meter.charge(Phase::CcaMapping, 20 + (g.members.len() as u64) * 12);
+            let cond = dfg.condensation();
+            if is_legal_group(dfg, spec, &g.members, &cond) {
+                let node = dfg.collapse(&g.members);
+                committed.push(CcaGroup {
+                    node: Some(node),
+                    members: g.members,
+                });
+            }
+        }
+        return committed;
+    }
+    let mut probe = CollapseProbe::new(dfg);
     for g in groups {
         meter.charge(Phase::CcaMapping, 20 + (g.members.len() as u64) * 12);
-        // Groups were identified against the original graph; two groups that
-        // feed each other would deadlock as atomic units, so re-validate
-        // each against the evolving graph (earlier collapses are single
-        // nodes now) and skip any that became illegal. Until the first
-        // collapse the graph is still the one identification analyzed, so
-        // its cached condensation answers directly; after that the fast
-        // path asks this one question per group without rebuilding the
-        // condensation (and its reach0 closure) after every collapse,
-        // while the reference path is the pre-sweep rebuild. Verdicts are
-        // identical across all three.
-        let legal = match scratch.as_mut() {
-            Some(s) if committed.is_empty() => {
-                let cond = dfg.condensation();
-                crate::legality::is_legal_group_in(dfg, spec, &g.members, &cond, s)
-            }
-            Some(s) => crate::legality::is_legal_group_current(dfg, spec, &g.members, s),
-            None => {
-                let cond = dfg.condensation();
-                is_legal_group(dfg, spec, &g.members, &cond)
-            }
-        };
-        if !legal {
-            continue;
+        if probe.is_legal(spec, &g.members) {
+            probe.collapse(&g.members);
+            committed.push(g);
         }
-        let node = dfg.collapse(&g.members);
-        committed.push(CcaGroup {
-            node: Some(node),
-            members: g.members,
-        });
+    }
+    drop(probe);
+    let nodes = dfg.collapse_all(committed.iter().map(|g| g.members.as_slice()));
+    for (g, node) in committed.iter_mut().zip(nodes) {
+        g.node = Some(node);
     }
     committed
 }

@@ -656,92 +656,108 @@ impl Dfg {
     /// Panics if `members` is empty or contains a dead or non-CCA-supported
     /// node.
     pub fn collapse(&mut self, members: &[OpId]) -> OpId {
-        assert!(!members.is_empty(), "cannot collapse an empty member set");
-        // Membership as a bitset over pre-collapse node slots: the edge
-        // rewiring loop below probes it twice per edge, and a HashSet
-        // probe (hash + indirection) is the dominant cost for the small
-        // member sets the mapper commits.
-        let words = self.nodes.len().div_ceil(64);
-        let mut member_bits = with_arena(|a| {
-            let mut w = a.take_u64();
-            w.resize(words, 0);
-            w
+        self.collapse_all([members])[0]
+    }
+
+    /// Collapses each of `groups` in order, exactly as calling
+    /// [`Dfg::collapse`] on each in turn would — same node slots, same
+    /// `cca_members` and live-out flags, same final edge array — but
+    /// rewrites the edge array once instead of once per group. Returns the
+    /// new CCA node ids in group order.
+    ///
+    /// After any collapse the edge array is canonical: sorted by `(src,
+    /// dst, distance, kind)`, duplicate-free, and free of dead endpoints.
+    /// Its content is fixed by the groups alone: every edge whose
+    /// endpoints are live, with each member endpoint replaced by its
+    /// group's node, except that edges internal to one group survive only
+    /// when loop-carried (as self-edges). Sequential collapses reach the
+    /// same array step by step, which is why one pass can stand in for
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a group is empty or contains a dead or non-CCA-supported
+    /// node, or a node an earlier group already claimed.
+    pub fn collapse_all<'g>(&mut self, groups: impl IntoIterator<Item = &'g [OpId]>) -> Vec<OpId> {
+        // Owning CCA node per pre-collapse slot (`NONE` if not collapsed):
+        // the rewiring pass below probes it twice per edge.
+        const NONE: u32 = u32::MAX;
+        let n0 = self.nodes.len();
+        let mut owner = with_arena(|a| {
+            let mut o = a.take_u32();
+            o.resize(n0, NONE);
+            o
         });
-        for &m in members {
-            member_bits[m.index() / 64] |= 1 << (m.index() % 64);
-            let node = &self.nodes[m.index()];
-            assert!(!node.dead, "member {m} already dead");
-            assert!(
-                node.opcode().is_some_and(|op| op.cca_supported()),
-                "member {m} is not a CCA-supported op"
-            );
+        let mut ids = Vec::new();
+        for members in groups {
+            assert!(!members.is_empty(), "cannot collapse an empty member set");
+            let cca = self.nodes.len() as u32;
+            for &m in members {
+                let node = &self.nodes[m.index()];
+                let claimed = owner[m.index()];
+                assert!(
+                    !node.dead && (claimed == NONE || claimed == cca),
+                    "member {m} already dead"
+                );
+                assert!(
+                    node.opcode().is_some_and(|op| op.cca_supported()),
+                    "member {m} is not a CCA-supported op"
+                );
+                owner[m.index()] = cca;
+            }
+            let mut node = DfgNode::new(NodeKind::Op(Opcode::Cca));
+            node.cca_members = members.to_vec();
+            node.live_out = members.iter().any(|&m| self.nodes[m.index()].live_out);
+            self.nodes.push(node);
+            ids.push(OpId::new(cca as usize));
         }
-        let in_members = |id: OpId| member_bits[id.index() / 64] >> (id.index() % 64) & 1 != 0;
-        let cca = self.add_node(NodeKind::Op(Opcode::Cca));
-        self.nodes[cca.index()].cca_members = members.to_vec();
-        self.nodes[cca.index()].live_out = members.iter().any(|&m| self.nodes[m.index()].live_out);
+        if ids.is_empty() {
+            with_arena(|a| a.give_u32(owner));
+            return ids;
+        }
 
         // Rewire in one retain pass: member-touching edges leave the array
         // (redirected copies and internal loop-carried self-edges collect
         // in `rewired`), dead-endpoint edges drop out. Removing elements
-        // from the canonically sorted pre-collapse array leaves the
-        // retained run sorted, so the adaptive sort below only pays for
-        // merging the short rewired tail. The canonical sort orders
-        // distinct edges by their full field tuple and dedup removes exact
-        // ties, so the final edge array is identical to the
-        // collect-then-refilter construction this replaces.
+        // from a canonically sorted array leaves the retained run sorted,
+        // so the sort below only pays for the short rewired tail.
         self.invalidate_structure();
         let nodes = &self.nodes;
         let mut edges = std::mem::take(&mut self.edges);
         let mut rewired: Vec<DfgEdge> = Vec::new();
         edges.retain(|e| {
-            let src_in = in_members(e.src);
-            let dst_in = in_members(e.dst);
-            if src_in && dst_in {
-                if e.distance > 0 {
-                    rewired.push(DfgEdge {
-                        src: cca,
-                        dst: cca,
-                        distance: e.distance,
-                        kind: e.kind,
-                    });
-                }
-            } else if src_in {
-                if !nodes[e.dst.index()].dead {
-                    rewired.push(DfgEdge {
-                        src: cca,
-                        dst: e.dst,
-                        distance: e.distance,
-                        kind: e.kind,
-                    });
-                }
-            } else if dst_in {
-                if !nodes[e.src.index()].dead {
-                    rewired.push(DfgEdge {
-                        src: e.src,
-                        dst: cca,
-                        distance: e.distance,
-                        kind: e.kind,
-                    });
-                }
-            } else {
+            let (os, od) = (owner[e.src.index()], owner[e.dst.index()]);
+            if os == NONE && od == NONE {
                 return !nodes[e.src.index()].dead && !nodes[e.dst.index()].dead;
+            }
+            let live = |o: u32, v: OpId| o != NONE || !nodes[v.index()].dead;
+            let internal = os == od;
+            if (!internal || e.distance > 0) && live(os, e.src) && live(od, e.dst) {
+                let node = |o: u32, v: OpId| if o == NONE { v } else { OpId::new(o as usize) };
+                rewired.push(DfgEdge {
+                    src: node(os, e.src),
+                    dst: node(od, e.dst),
+                    distance: e.distance,
+                    kind: e.kind,
+                });
             }
             false
         });
-        with_arena(|a| a.give_u64(member_bits));
         // Tombstone members and drop their adjacency.
-        for &m in members {
-            self.nodes[m.index()].dead = true;
+        for (node, &o) in self.nodes.iter_mut().zip(&owner) {
+            if o != NONE {
+                node.dead = true;
+            }
         }
+        with_arena(|a| a.give_u32(owner));
         // Hot-path merge: a canonical pre-collapse array is strictly
         // sorted (sorted and duplicate-free), and `retain` preserves that
-        // for the kept run. Every rewired edge references `cca` — a node
-        // id no retained edge can mention — so no duplicate straddles the
-        // two runs, and backward-merging the sorted-deduped tail yields
+        // for the kept run. Every rewired edge references a new CCA node —
+        // an id no retained edge can mention — so no duplicate straddles
+        // the two runs, and backward-merging the sorted-deduped tail yields
         // byte-for-byte the array the full sort+dedup would. Non-canonical
         // arrays (builder graphs that never went through a structural
-        // rewrite) take the full sort below, exactly as before.
+        // rewrite) take the full sort below.
         let key = |e: &DfgEdge| (e.src, e.dst, e.distance, e.kind as u8);
         if edges.is_sorted_by(|a, b| key(a) < key(b)) {
             Self::sort_dedup_edges(&mut rewired);
@@ -763,7 +779,7 @@ impl Dfg {
             Self::sort_dedup_edges(&mut edges);
         }
         self.edges = edges;
-        cca
+        ids
     }
 
     /// Removes the given nodes (and their edges) from the graph by
@@ -847,8 +863,9 @@ impl Dfg {
             .map(|(i, _)| OpId::new(i))
     }
 
-    /// A stable 64-bit fingerprint of the graph's content: node kinds,
-    /// stream annotations, liveness, collapse state, and every edge. Equal
+    /// A stable 64-bit fingerprint of the graph's content: which slots are
+    /// tombstones, every live node's kind, stream annotation, liveness and
+    /// CCA membership (with the members' kinds), and every edge. Equal
     /// graphs hash equal across threads and processes, so the fingerprint
     /// can key persistent or shared caches (the sweep engine's translation
     /// memo keys on it). Cached after the first call (the parametric
@@ -860,39 +877,60 @@ impl Dfg {
     }
 
     fn content_hash_uncached(&self) -> u64 {
-        let mut h = crate::rng::Fnv64::new();
-        h.write_u64(self.nodes.len() as u64);
-        for n in &self.nodes {
-            match &n.kind {
-                NodeKind::Op(op) => {
-                    h.write_u8(1);
-                    h.write_u64(*op as u64);
-                }
-                NodeKind::LiveIn => h.write_u8(2),
-                NodeKind::Const(v) => {
-                    h.write_u8(3);
-                    h.write_u64(*v as u64);
-                }
-            }
-            h.write_u64(n.stream.map_or(u64::MAX, u64::from));
-            h.write_u8(u8::from(n.live_out) | (u8::from(n.dead) << 1));
-            h.write_u64(n.cca_members.len() as u64);
-            for m in &n.cca_members {
-                h.write_u64(m.index() as u64);
-            }
-        }
-        h.write_u64(self.edges.len() as u64);
-        for e in &self.edges {
-            h.write_u64(e.src.index() as u64);
-            h.write_u64(e.dst.index() as u64);
-            h.write_u64(u64::from(e.distance));
-            h.write_u8(match e.kind {
-                EdgeKind::Data => 0,
-                EdgeKind::Mem => 1,
-            });
-        }
-        h.finish()
+        hash_graph(&self.nodes, &self.edges)
     }
+}
+
+/// The [`Dfg::content_hash`] of a node/edge table.
+///
+/// A tombstone hashes as a bare slot. Nothing downstream reads a dead
+/// node's kind, stream or flags, and the module format does not keep them
+/// (it writes one `KIND_DEAD` byte per dead slot), so hashing them would
+/// give a loop a different memo key after a round trip through the wire
+/// than in process. The one place a tombstone's opcode still matters is as
+/// a member of a `Cca` node, so each `Cca` node hashes its members' kinds
+/// next to their ids: graphs that collapse different ops never share a key.
+pub(crate) fn hash_graph(nodes: &[DfgNode], edges: &[DfgEdge]) -> u64 {
+    let write_kind = |h: &mut crate::rng::Fnv64, kind: &NodeKind| match kind {
+        NodeKind::Op(op) => {
+            h.write_u8(1);
+            h.write_u64(*op as u64);
+        }
+        NodeKind::LiveIn => h.write_u8(2),
+        NodeKind::Const(v) => {
+            h.write_u8(3);
+            h.write_u64(*v as u64);
+        }
+    };
+    let mut h = crate::rng::Fnv64::new();
+    h.write_u64(nodes.len() as u64);
+    for n in nodes {
+        if n.dead {
+            h.write_u8(0);
+            continue;
+        }
+        write_kind(&mut h, &n.kind);
+        h.write_u64(n.stream.map_or(u64::MAX, u64::from));
+        h.write_u8(u8::from(n.live_out));
+        h.write_u64(n.cca_members.len() as u64);
+        for m in &n.cca_members {
+            h.write_u64(m.index() as u64);
+            if let Some(member) = nodes.get(m.index()) {
+                write_kind(&mut h, &member.kind);
+            }
+        }
+    }
+    h.write_u64(edges.len() as u64);
+    for e in edges {
+        h.write_u64(e.src.index() as u64);
+        h.write_u64(e.dst.index() as u64);
+        h.write_u64(u64::from(e.distance));
+        h.write_u8(match e.kind {
+            EdgeKind::Data => 0,
+            EdgeKind::Mem => 1,
+        });
+    }
+    h.finish()
 }
 
 /// Per-function-unit-class operation counts, as used by the ResMII

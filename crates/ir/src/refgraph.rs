@@ -219,42 +219,11 @@ impl RefDfg {
         comps
     }
 
-    /// The original content-hash serialization — identical byte stream,
-    /// and therefore identical fingerprint, to [`Dfg::content_hash`].
+    /// The content hash, through the same serialization as
+    /// [`Dfg::content_hash`].
     #[must_use]
     pub fn content_hash(&self) -> u64 {
-        let mut h = crate::rng::Fnv64::new();
-        h.write_u64(self.nodes.len() as u64);
-        for n in &self.nodes {
-            match &n.kind {
-                NodeKind::Op(op) => {
-                    h.write_u8(1);
-                    h.write_u64(*op as u64);
-                }
-                NodeKind::LiveIn => h.write_u8(2),
-                NodeKind::Const(v) => {
-                    h.write_u8(3);
-                    h.write_u64(*v as u64);
-                }
-            }
-            h.write_u64(n.stream.map_or(u64::MAX, u64::from));
-            h.write_u8(u8::from(n.live_out) | (u8::from(n.is_dead()) << 1));
-            h.write_u64(n.cca_members.len() as u64);
-            for m in &n.cca_members {
-                h.write_u64(m.index() as u64);
-            }
-        }
-        h.write_u64(self.edges.len() as u64);
-        for e in &self.edges {
-            h.write_u64(e.src.index() as u64);
-            h.write_u64(e.dst.index() as u64);
-            h.write_u64(u64::from(e.distance));
-            h.write_u8(match e.kind {
-                crate::dfg::EdgeKind::Data => 0,
-                crate::dfg::EdgeKind::Mem => 1,
-            });
-        }
-        h.finish()
+        crate::dfg::hash_graph(&self.nodes, &self.edges)
     }
 
     /// The original structural verifier, error for error identical to

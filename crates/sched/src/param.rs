@@ -325,8 +325,14 @@ impl MinDistParam {
         let profiles = cond.topo0().map(|topo| {
             let mut scratch = CostMeter::new();
             Profiles {
-                depths: crate::priority::depths(dfg, lat, &mut scratch, Phase::Priority),
-                heights: crate::priority::heights(dfg, lat, &mut scratch, Phase::Priority),
+                depths: crate::priority::depths_over(dfg, lat, topo, &mut scratch, Phase::Priority),
+                heights: crate::priority::heights_over(
+                    dfg,
+                    lat,
+                    topo,
+                    &mut scratch,
+                    Phase::Priority,
+                ),
                 topo_len: topo.len(),
             }
         });
@@ -455,6 +461,21 @@ thread_local! {
         const { RefCell::new(Vec::new()) };
 }
 
+/// Moves the entry for `key` to the front of this thread's LRU and returns
+/// it, counting a hit; `None` (and no counter bump) when it is not
+/// resident.
+fn lookup(
+    cache: &mut Vec<(u64, u64, Arc<MinDistParam>)>,
+    key: (u64, u64),
+) -> Option<Arc<MinDistParam>> {
+    let pos = cache.iter().position(|e| (e.0, e.1) == key)?;
+    let entry = cache.remove(pos);
+    let param = Arc::clone(&entry.2);
+    cache.insert(0, entry);
+    param_cache_counters().0.inc();
+    Some(param)
+}
+
 /// The cached parametric structure for `(dfg, lat)`, built on first use.
 /// Per-thread LRU of [`PARAM_CACHE_CAP`] entries; repeated scheduling of
 /// the same loop under the same latency model (II escalation, register
@@ -464,11 +485,7 @@ pub fn cached(dfg: &Dfg, lat: &LatencyModel) -> Arc<MinDistParam> {
     let key = (dfg.content_hash(), lat.fingerprint());
     PARAM_CACHE.with(|c| {
         let mut cache = c.borrow_mut();
-        if let Some(pos) = cache.iter().position(|e| (e.0, e.1) == key) {
-            let entry = cache.remove(pos);
-            let param = Arc::clone(&entry.2);
-            cache.insert(0, entry);
-            param_cache_counters().0.inc();
+        if let Some(param) = lookup(&mut cache, key) {
             return param;
         }
         param_cache_counters().1.inc();
@@ -476,6 +493,24 @@ pub fn cached(dfg: &Dfg, lat: &LatencyModel) -> Arc<MinDistParam> {
         cache.insert(0, (key.0, key.1, Arc::clone(&param)));
         cache.truncate(PARAM_CACHE_CAP);
         param
+    })
+}
+
+/// The parametric structure for `(dfg, lat)` if this thread's cache
+/// already holds one, or `None`. Never builds: callers that only need
+/// what a resident structure memoizes (the list scheduler's depth
+/// profile) fall back to the cheap direct pass instead of paying for the
+/// whole frontier — the work a static priority hint exists to skip.
+#[must_use]
+pub fn peek(dfg: &Dfg, lat: &LatencyModel) -> Option<Arc<MinDistParam>> {
+    PARAM_CACHE.with(|c| {
+        let mut cache = c.borrow_mut();
+        // A thread that never ran the Swing ordering holds nothing; skip
+        // hashing the graph just to learn that.
+        if cache.is_empty() {
+            return None;
+        }
+        lookup(&mut cache, (dfg.content_hash(), lat.fingerprint()))
     })
 }
 
@@ -558,5 +593,18 @@ mod tests {
         let a = cached(&dfg, &lat);
         let b2 = cached(&dfg, &lat);
         assert!(Arc::ptr_eq(&a, &b2));
+    }
+
+    #[test]
+    fn peek_never_builds() {
+        let mut b = DfgBuilder::new();
+        let x = b.op(Opcode::Mul, &[]);
+        let _ = b.op(Opcode::Sub, &[x]);
+        let dfg = b.finish();
+        let lat = LatencyModel::default();
+        assert!(peek(&dfg, &lat).is_none());
+        assert!(peek(&dfg, &lat).is_none(), "a miss must not insert");
+        let built = cached(&dfg, &lat);
+        assert!(Arc::ptr_eq(&built, &peek(&dfg, &lat).expect("resident")));
     }
 }

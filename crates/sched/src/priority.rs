@@ -25,14 +25,32 @@ pub enum PriorityKind {
     Height,
 }
 
+/// The distance-0 topological order the longest-path passes walk. A
+/// direct Kahn pass: the graph's full condensation (Tarjan plus the
+/// reachability snapshot) is not needed just for its order. Any
+/// topological order of the live nodes gives the same profiles and the
+/// same charge.
+fn topo0(dfg: &Dfg) -> Vec<OpId> {
+    dfg.topo_order()
+        .unwrap_or_else(|_| panic!("distance-0 subgraph must be acyclic"))
+}
+
 /// Computes per-op height: the longest latency path from the op to any sink
 /// over distance-0 edges.
 #[must_use]
 pub fn heights(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter, phase: Phase) -> Vec<u32> {
-    let n = dfg.len();
-    let mut h = vec![0u32; n];
-    let cond = dfg.condensation();
-    let order = cond.topo0().expect("distance-0 subgraph must be acyclic");
+    heights_over(dfg, lat, &topo0(dfg), meter, phase)
+}
+
+/// [`heights`] along a given distance-0 topological order of the live nodes.
+pub(crate) fn heights_over(
+    dfg: &Dfg,
+    lat: &LatencyModel,
+    order: &[OpId],
+    meter: &mut CostMeter,
+    phase: Phase,
+) -> Vec<u32> {
+    let mut h = vec![0u32; dfg.len()];
     for &v in order.iter().rev() {
         meter.charge(phase, 1);
         if !dfg.node(v).is_schedulable() {
@@ -54,10 +72,18 @@ pub fn heights(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter, phase: Phas
 /// op over distance-0 edges (excluding the op's own latency).
 #[must_use]
 pub fn depths(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter, phase: Phase) -> Vec<u32> {
-    let n = dfg.len();
-    let mut d = vec![0u32; n];
-    let cond = dfg.condensation();
-    let order = cond.topo0().expect("distance-0 subgraph must be acyclic");
+    depths_over(dfg, lat, &topo0(dfg), meter, phase)
+}
+
+/// [`depths`] along a given distance-0 topological order of the live nodes.
+pub(crate) fn depths_over(
+    dfg: &Dfg,
+    lat: &LatencyModel,
+    order: &[OpId],
+    meter: &mut CostMeter,
+    phase: Phase,
+) -> Vec<u32> {
+    let mut d = vec![0u32; dfg.len()];
     for &v in order {
         meter.charge(phase, 1);
         if !dfg.node(v).is_schedulable() {

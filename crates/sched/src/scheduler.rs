@@ -210,18 +210,21 @@ pub fn list_schedule(
         return crate::reference::list_schedule(dfg, config, order, mii, streams, meter);
     }
     let lat = &config.latencies;
-    // Depths depend only on (dfg, lat); when the parametric MinDist is
-    // enabled its cache already memoizes them (the translator warms it
-    // during RecMII/priority), so this pass reuses the cached copy and
-    // charges the bulk equivalent (one unit per topo node). The fallback
-    // recomputes — and, for ill-formed bodies, panics — exactly as before.
-    let cached = if crate::mindist::parametric_enabled() {
-        Some(crate::param::cached(dfg, lat))
+    // Depths depend only on (dfg, lat). Only the Swing ordering builds the
+    // II-parametric MinDist structure, which memoizes them; when this
+    // thread still holds it, its copy is reused. Otherwise — static or
+    // height priority, or a concretization whose order came from the
+    // symbolic cache — the direct O(V + E) pass runs: building the whole
+    // frontier just to read depths is the work a priority hint skips.
+    // Both sources charge one unit per topo node, and both panic on
+    // ill-formed (distance-0 cyclic) bodies exactly as before.
+    let resident = if crate::mindist::parametric_enabled() {
+        crate::param::peek(dfg, lat)
     } else {
         None
     };
     let owned;
-    let d: &[u32] = match cached.as_ref().and_then(|p| p.profiles()) {
+    let d: &[u32] = match resident.as_ref().and_then(|p| p.profiles()) {
         Some((pd, _, topo_len)) => {
             meter.charge(Phase::Scheduling, topo_len as u64);
             pd

@@ -494,7 +494,9 @@ fn decode_nodes(payload: &[u8]) -> Result<(Dfg, usize, Vec<OpId>), DecodeError> 
                 dfg.add_node(NodeKind::Const(v));
             }
             KIND_DEAD => {
-                // Preserve the slot so ids stay stable.
+                // Preserve the slot so ids stay stable. Its kind is gone;
+                // `Dfg::content_hash` hashes tombstones as bare slots, so
+                // the decoded loop keeps the encoder's key.
                 let id = dfg.add_node(NodeKind::LiveIn);
                 dead_nodes.push(id);
             }

@@ -83,8 +83,10 @@ use crate::verify::{verify_priority, HintError, HintVerdict};
 
 /// Snapshot magic bytes.
 pub const SNAP_MAGIC: &[u8; 4] = b"VSNP";
-/// Snapshot format version.
-pub const SNAP_VERSION: u16 = 1;
+/// Snapshot format version. Version 2: graph content hashes (which key
+/// the memo and guard every stored graph) treat tombstones as bare slots,
+/// so version-1 keys and stored hashes no longer match.
+pub const SNAP_VERSION: u16 = 2;
 
 /// End-of-stream marker tag.
 pub const SNAP_END: u8 = 0;

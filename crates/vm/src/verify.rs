@@ -13,9 +13,10 @@
 //!   graph's schedulable ops — length, membership, and no duplicates (the
 //!   modulo scheduler walks the order as-is, so a duplicate would schedule
 //!   an op twice);
-//! * each **CCA group** must be legal on the *current* [`CcaSpec`] via
-//!   [`is_legal_group`], checked against a probe copy of the graph so the
-//!   real graph is never mutated by a hint that later turns out bad.
+//! * each **CCA group** must be legal on the *current* [`CcaSpec`]
+//!   ([`is_legal_group`]) on the graph the earlier groups' collapses
+//!   leave, checked through a [`CollapseProbe`] so the real graph is never
+//!   mutated by a hint that later turns out bad.
 //!
 //! Validation is not free, and the paper's cost model must say so: every
 //! check is charged to [`Phase::HintDecode`] on the caller's [`CostMeter`].
@@ -25,9 +26,8 @@
 //! same as before this boundary existed; rejection surfaces as extra
 //! dynamic-phase cost in the Figure 10/11 accounting.
 
-use std::collections::HashSet;
 use std::fmt;
-use veal_cca::{is_legal_group, is_legal_group_current, CcaSpec, LegalityScratch};
+use veal_cca::{is_legal_group, CcaSpec, CollapseProbe};
 use veal_ir::dfg::Dfg;
 use veal_ir::{data_oriented_enabled, CostMeter, OpId, Phase};
 
@@ -158,13 +158,15 @@ impl HintVerdict {
 /// collapses the groups into `dfg`. On any failure `dfg` is untouched and
 /// the caller should fall back to dynamic identification.
 ///
-/// Legality is checked on a probe copy with the same sequential-collapse
-/// discipline the dynamic identifier uses, so mutually dependent groups
-/// cannot both pass, and a group made illegal by an earlier collapse
-/// (convexity through a new pseudo-op, say) is caught before the real
-/// graph changes. [`Dfg::collapse`] panics on malformed members by
-/// contract; validation here is what makes that contract hold for
-/// untrusted input.
+/// Each group is checked against the graph the earlier groups' collapses
+/// leave — the same sequential discipline the dynamic identifier commits
+/// with — so mutually dependent groups cannot both pass, and a group made
+/// illegal by an earlier collapse (convexity through a new pseudo-op, say)
+/// is caught before the real graph changes. A [`CollapseProbe`] answers
+/// those questions without collapsing anything, and the vetted groups are
+/// applied in one [`Dfg::collapse_all`] pass. [`Dfg::collapse`] panics on
+/// malformed members by contract; validation here is what makes that
+/// contract hold for untrusted input.
 ///
 /// # Errors
 ///
@@ -177,47 +179,100 @@ pub fn verify_and_apply_cca(
 ) -> Result<usize, HintError> {
     // Decoding the procedural abstraction is a linear pass.
     meter.charge(Phase::HintDecode, dfg.len() as u64 + 4);
-    let mut probe = dfg.clone();
-    // Same legality verdict either way (see `is_legal_group_current`); the
-    // scratch-based path skips rebuilding the probe's condensation after
-    // every collapse. Neither kernel touches the meter, so charges stay
-    // byte-identical across arms.
-    let mut scratch = data_oriented_enabled().then(LegalityScratch::new);
+    match vet_cca_groups(dfg, spec, groups, meter)? {
+        Some(collapsed) => *dfg = collapsed,
+        None => {
+            dfg.collapse_all(groups.iter().map(Vec::as_slice));
+        }
+    }
+    Ok(groups.len())
+}
+
+/// Checks every group of a CCA hint, in order, against the graph the
+/// earlier groups' collapses leave. On success the reference arm returns
+/// the graph it collapsed along the way; the data-oriented arm collapsed
+/// nothing and returns `None`.
+fn vet_cca_groups(
+    dfg: &Dfg,
+    spec: &CcaSpec,
+    groups: &[Vec<OpId>],
+    meter: &mut CostMeter,
+) -> Result<Option<Dfg>, HintError> {
+    let mut probe = if data_oriented_enabled() {
+        Probe::Fast(Box::new(CollapseProbe::new(dfg)))
+    } else {
+        Probe::Reference(dfg.clone())
+    };
+    let mut seen = Vec::new();
     for (gi, g) in groups.iter().enumerate() {
         meter.charge(Phase::HintDecode, g.len() as u64);
         if g.is_empty() {
             return Err(HintError::CcaEmptyGroup);
         }
-        let mut seen = HashSet::with_capacity(g.len());
+        seen.clear();
+        seen.resize(probe.len().div_ceil(64), 0u64);
         for &m in g {
-            if m.index() >= probe.len() {
+            let i = m.index();
+            if i >= probe.len() {
                 return Err(HintError::CcaMemberOutOfRange(m));
             }
-            if !probe.node(m).is_schedulable() {
+            if !probe.is_schedulable(m) {
                 return Err(HintError::CcaMemberNotSchedulable(m));
             }
-            if !seen.insert(m) {
+            if seen[i / 64] >> (i % 64) & 1 != 0 {
                 return Err(HintError::CcaDuplicateMember(m));
             }
+            seen[i / 64] |= 1 << (i % 64);
         }
-        let legal = match scratch.as_mut() {
-            Some(s) => is_legal_group_current(&probe, spec, g, s),
-            None => {
-                let cond = probe.condensation();
-                is_legal_group(&probe, spec, g, &cond)
-            }
-        };
-        if !legal {
+        if !probe.is_legal(spec, g) {
             return Err(HintError::CcaIllegalGroup { group: gi });
         }
         probe.collapse(g);
     }
-    // Every group vetted. The probe went through exactly the collapse
-    // sequence the caller asked for (collapse is deterministic and the
-    // legality checks only read), so it IS the post-apply graph — move it
-    // in rather than replaying the collapses a second time.
-    *dfg = probe;
-    Ok(groups.len())
+    Ok(match probe {
+        Probe::Fast(_) => None,
+        Probe::Reference(collapsed) => Some(collapsed),
+    })
+}
+
+/// The graph hint groups are checked against: the data-oriented
+/// [`CollapseProbe`], or the retained reference — a real copy collapsed
+/// group by group, its condensation rebuilt for every check.
+enum Probe<'a> {
+    Fast(Box<CollapseProbe<'a>>),
+    Reference(Dfg),
+}
+
+impl Probe<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Probe::Fast(p) => p.len(),
+            Probe::Reference(g) => g.len(),
+        }
+    }
+
+    fn is_schedulable(&self, m: OpId) -> bool {
+        match self {
+            Probe::Fast(p) => p.is_schedulable(m),
+            Probe::Reference(g) => g.node(m).is_schedulable(),
+        }
+    }
+
+    fn is_legal(&mut self, spec: &CcaSpec, group: &[OpId]) -> bool {
+        match self {
+            Probe::Fast(p) => p.is_legal(spec, group),
+            Probe::Reference(g) => is_legal_group(g, spec, group, &g.condensation()),
+        }
+    }
+
+    fn collapse(&mut self, group: &[OpId]) {
+        match self {
+            Probe::Fast(p) => p.collapse(group),
+            Probe::Reference(g) => {
+                g.collapse(group);
+            }
+        }
+    }
 }
 
 /// Validates a priority hint: `order` must be an exact permutation of
@@ -228,21 +283,28 @@ pub fn verify_and_apply_cca(
 /// The first [`HintError`] encountered, scanning the order left to right.
 pub fn verify_priority(dfg: &Dfg, order: &[OpId], meter: &mut CostMeter) -> Result<(), HintError> {
     meter.charge(Phase::HintDecode, order.len() as u64);
-    let expected: HashSet<OpId> = dfg.schedulable_ops().collect();
-    if order.len() != expected.len() {
+    let adj = dfg.adjacency();
+    let expected: usize = adj
+        .sched_words()
+        .iter()
+        .map(|w| w.count_ones() as usize)
+        .sum();
+    if order.len() != expected {
         return Err(HintError::PriorityWrongLength {
-            expected: expected.len(),
+            expected,
             got: order.len(),
         });
     }
-    let mut seen = HashSet::with_capacity(order.len());
+    let mut seen = vec![0u64; adj.sched_words().len()];
     for &op in order {
-        if !expected.contains(&op) {
+        let i = op.index();
+        if i >= adj.len() || !adj.is_schedulable(i) {
             return Err(HintError::PriorityUnknownOp(op));
         }
-        if !seen.insert(op) {
+        if seen[i / 64] >> (i % 64) & 1 != 0 {
             return Err(HintError::PriorityDuplicate(op));
         }
+        seen[i / 64] |= 1 << (i % 64);
     }
     Ok(())
 }

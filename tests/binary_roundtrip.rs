@@ -189,3 +189,96 @@ fn multi_loop_modules_preserve_order() {
         }
     }
 }
+
+/// Packs `body` with its hints as a one-loop module, as a client ships it,
+/// and returns the decoded body's content hash.
+fn round_trip_hash(body: &veal::LoopBody, hints: &veal::StaticHints) -> u64 {
+    let module = BinaryModule {
+        loops: vec![EncodedLoop {
+            body: body.clone(),
+            priority_hint: hints.priority.clone(),
+            cca_hint: hints.cca_groups.clone(),
+            family_hint: None,
+        }],
+    };
+    decode_module(&encode_module(&module))
+        .expect("round trip")
+        .loops[0]
+        .body
+        .dfg
+        .content_hash()
+}
+
+#[test]
+fn round_trip_keeps_the_content_hash() {
+    // The hash keys the memo, the code cache and snapshots, so a loop that
+    // arrives over the wire must land on the same key as the same loop in
+    // process. The module format keeps a tombstone as one byte (its kind
+    // is gone after decoding), which the hash must not see.
+    let config = AcceleratorConfig::paper_design();
+    let spec = CcaSpec::paper();
+    let limits = veal::TransformLimits::default();
+    let mut with_tombstones = 0usize;
+    for app in veal::workloads::full_suite() {
+        for l in &app.loops {
+            for part in veal::legalize(&l.raw, &limits) {
+                let body = &part.body;
+                with_tombstones += usize::from(body.dfg.live_ids().count() < body.dfg.len());
+                let hints = compute_hints(body, &config, Some(&spec));
+                assert_eq!(
+                    round_trip_hash(body, &hints),
+                    body.dfg.content_hash(),
+                    "{}: hash drifted",
+                    body.name
+                );
+            }
+        }
+    }
+    assert!(
+        with_tombstones >= 70,
+        "{with_tombstones} suite loops carry tombstones"
+    );
+    for_each_spec(|case, _rng, spec| {
+        let body = synth_loop(&spec);
+        assert_eq!(
+            round_trip_hash(&body, &veal::StaticHints::none()),
+            body.dfg.content_hash(),
+            "case {case}: hash drifted"
+        );
+    });
+}
+
+#[test]
+fn tombstone_kind_is_outside_the_hash_but_cca_members_are_inside() {
+    use veal::{DfgBuilder, Opcode};
+    // Two graphs that differ only in what a tombstone used to be share a
+    // key; two that collapsed different ops do not.
+    let graph = |first: Opcode| {
+        let mut b = DfgBuilder::new();
+        let x = b.live_in();
+        let a = b.op(first, &[x]);
+        let c = b.op(Opcode::Xor, &[a, x]);
+        b.mark_live_out(c);
+        (b.finish(), a, c)
+    };
+    let (mut p, pa, _) = graph(Opcode::And);
+    let (mut q, qa, _) = graph(Opcode::Or);
+    assert_ne!(p.content_hash(), q.content_hash());
+    p.mark_dead(pa);
+    q.mark_dead(qa);
+    assert_eq!(
+        p.content_hash(),
+        q.content_hash(),
+        "dead kinds must not key"
+    );
+
+    let (mut p, pa, pc) = graph(Opcode::And);
+    let (mut q, qa, qc) = graph(Opcode::Or);
+    p.collapse(&[pa, pc]);
+    q.collapse(&[qa, qc]);
+    assert_ne!(
+        p.content_hash(),
+        q.content_hash(),
+        "a CCA node's members must key by kind"
+    );
+}

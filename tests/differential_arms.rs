@@ -165,3 +165,111 @@ fn rec_mii_dispatch_matches_across_arms() {
         }
     }
 }
+
+#[test]
+fn hint_decode_verdicts_match_across_arms_on_mutated_groups() {
+    // `verify_and_apply_cca` checks each group against the graph the
+    // earlier groups' collapses leave. The new arm answers from a
+    // `CollapseProbe` and collapses once at the end; the reference arm
+    // collapses a cloned probe group by group. Hostile and stale hints must
+    // get the same verdict (down to the `HintError` variant), the same
+    // charges, and the same graph either way — so the suite's own hint
+    // groups are mutated the ways a forged section can: reordered, merged,
+    // split, cross-wired to a previous group's CCA node, duplicated.
+    let spec = CcaSpec::paper();
+    let mut rng = veal::ir::rng::Rng64::new(0x41D_DEC0DE);
+    let mut verdicts = std::collections::BTreeMap::<String, usize>::new();
+    for app in veal::workloads::full_suite() {
+        for (i, l) in app.loops.iter().enumerate() {
+            let mut meter = CostMeter::new();
+            let Ok(sep) = separate(&l.raw.body.dfg, &mut meter) else {
+                continue;
+            };
+            let base: Vec<Vec<OpId>> =
+                veal::cca::identify_groups(&sep.dfg, &spec, &mut CostMeter::new())
+                    .into_iter()
+                    .map(|g| g.members)
+                    .collect();
+            let ops: Vec<OpId> = sep.dfg.schedulable_ops().collect();
+            for case in 0..12 {
+                let mut groups = base.clone();
+                for _ in 0..rng.gen_range(1, 4) {
+                    let k = groups.len();
+                    match rng.gen_range(0, 7) {
+                        0 if k > 1 => groups.swap(rng.gen_range(0, k), rng.gen_range(0, k)),
+                        1 if k > 1 => {
+                            let g = groups.remove(rng.gen_range(0, k));
+                            let at = rng.gen_range(0, groups.len());
+                            groups[at].extend(g);
+                        }
+                        2 if k > 0 => {
+                            let at = rng.gen_range(0, k);
+                            let half = groups[at].len() / 2;
+                            if half > 0 {
+                                let tail = groups[at].split_off(half);
+                                groups.push(tail);
+                            }
+                        }
+                        3 if k > 0 && !ops.is_empty() => {
+                            let at = rng.gen_range(0, k);
+                            groups[at].push(ops[rng.gen_range(0, ops.len())]);
+                        }
+                        4 if k > 0 => {
+                            // A previously created CCA node (or one past it).
+                            let at = rng.gen_range(0, k);
+                            let id = sep.dfg.len() + rng.gen_range(0, k + 1);
+                            groups[at].push(OpId::new(id));
+                        }
+                        5 if k > 0 => {
+                            let g = groups[rng.gen_range(0, k)].clone();
+                            groups.insert(rng.gen_range(0, k + 1), g);
+                        }
+                        _ if !ops.is_empty() => {
+                            let g = (0..rng.gen_range(1, 5))
+                                .map(|_| ops[rng.gen_range(0, ops.len())])
+                                .collect();
+                            groups.insert(rng.gen_range(0, k + 1), g);
+                        }
+                        _ => {}
+                    }
+                }
+                let run = |arm: bool| {
+                    with_arm(arm, || {
+                        let mut meter = CostMeter::new();
+                        let mut d = sep.dfg.clone();
+                        let r = verify_and_apply_cca(&mut d, &spec, &groups, &mut meter);
+                        (r, d, *meter.breakdown())
+                    })
+                };
+                let (r_old, d_old, m_old) = run(false);
+                let (r_new, d_new, m_new) = run(true);
+                let name = format!("{}#{i} case {case}", app.name);
+                assert_eq!(r_old, r_new, "{name}: verdict diverged on {groups:?}");
+                assert_eq!(d_old, d_new, "{name}: graph diverged");
+                assert_eq!(m_old, m_new, "{name}: charges diverged");
+                let key = match &r_new {
+                    Ok(_) => "accepted".to_string(),
+                    Err(e) => format!("{e:?}")
+                        .split(['(', ' '])
+                        .next()
+                        .unwrap_or("")
+                        .into(),
+                };
+                *verdicts.entry(key).or_default() += 1;
+            }
+        }
+    }
+    // Every verdict kind the mutations can reach must actually occur.
+    for kind in [
+        "accepted",
+        "CcaMemberOutOfRange",
+        "CcaMemberNotSchedulable",
+        "CcaDuplicateMember",
+        "CcaIllegalGroup",
+    ] {
+        assert!(
+            verdicts.get(kind).is_some_and(|&n| n > 0),
+            "{kind}: {verdicts:?}"
+        );
+    }
+}
