@@ -1,112 +1,64 @@
-//! Benchmarks the translation hot kernel, old vs new, over every loop of
-//! the full workload suite.
+//! Benchmarks the shipped translator over the full workload suite: host
+//! wall time next to the abstract `CostMeter` units.
 //!
-//! The **old kernel** is the pre-optimization implementation, retained
-//! verbatim in `veal::sched::reference`: hash-set based Swing
-//! ordering over the naive Θ(n³) Floyd–Warshall MinDist
-//! ([`veal::sched::MinDist::compute_naive`]) and the hash-map based modulo
-//! list scheduler. The **new kernel** is the current pipeline: the
-//! SCC-structured, II-parametric MinDist envelope with its cross-invocation
-//! cache, bitset Swing ordering, and the dense-array list scheduler.
-//!
-//! Three old-vs-new measurements per loop:
-//!
-//! * **priority + scheduling** — `swing_order` followed by
-//!   `list_schedule` on the separated, CCA-mapped body (the paper's 69% +
-//!   9% of translation cost, Figure 8), old kernels vs new kernels. Each
-//!   loop is run at `VEAL_BENCH_IIS` consecutive IIs starting at its MII —
-//!   the pattern the design-space sweep and II escalation actually
-//!   generate (same graph, shifting II), where the old kernel pays a full
-//!   Θ(n³) Floyd–Warshall per point and the new one evaluates the cached
-//!   Pareto frontiers in O(n²·k).
-//! * **per-phase breakdown** — one old-vs-new wall-clock entry for each
-//!   [`veal::ir::Phase`], timing that phase's kernel in isolation: DFG
-//!   analyses (`RefDfg` push-adjacency vs CSR), stream separation, CCA
-//!   mapping, MIIs, priority/scheduling (from the section above), register
-//!   assignment, and hint decoding. Phases whose implementation did not
-//!   change in the data-oriented sweep time the same code under both arms
-//!   and report ≈1.0x. The `concretize` row is the symbolic-translation
-//!   differential: "old" is a direct point `translate`, "new" is
-//!   `Translator::concretize` of a prebuilt symbolic translation — the
-//!   work a family-memo hit pays instead of a full retranslation — with
-//!   the outcomes asserted bit-identical first.
-//! * **end-to-end translate** — the whole `Translator::translate`
-//!   pipeline on the raw loop body. The old arm disables *both* runtime
-//!   toggles (`set_parametric_enabled(false)` +
-//!   `veal::ir::set_data_oriented(false)`): naive Floyd–Warshall MinDist
-//!   over the retained reference analysis kernels. The new arm enables
-//!   both: parametric MinDist over the struct-of-arrays kernels.
-//!
-//! Every order, schedule, and per-phase abstract-instruction breakdown is
-//! asserted identical between the two kernels — the abstract cost model
-//! is the paper's result and must not move.
-//!
-//! Two absolute measurements of the shipped translator, on every
-//! legalized suite loop (the loops the system simulator translates):
+//! Four measurements:
 //!
 //! * **per policy** — wall time and `CostMeter` units per loop of a whole
 //!   `Translator::translate` under the fully dynamic, height-priority and
-//!   static-hint policies (the last with the hints the compiler ships),
-//!   and the dynamic/hinted wall ratio: whether Fig. 8's cost argument
-//!   for hints holds in host time, not only in meter units;
+//!   static-hint policies (the last with the hints the compiler ships), on
+//!   every legalized suite loop (the loops the system simulator
+//!   translates), and the dynamic/hinted wall ratio: whether Fig. 8's cost
+//!   argument for hints holds in host time, not only in meter units;
 //! * **Fig. 8 measured** — the fully dynamic wall-clock share of each
-//!   phase next to its meter share, on the suite and on a seeded pool of
-//!   synthetic loops shaped like `bench_e2e`'s translate-cold pool. Each
-//!   phase kernel is timed in the order `translate` calls it, and the
-//!   replay's charges are asserted equal to `translate`'s.
+//!   phase next to its meter share, on the legalized suite and on a seeded
+//!   pool of synthetic loops shaped like `bench_e2e`'s translate-cold
+//!   pool. Each phase kernel is timed in the order `translate` calls it,
+//!   and the replay's charges are asserted equal to `translate`'s;
+//! * **per phase** — one absolute wall-time row per [`Phase`] on the
+//!   legalized suite: the suite replay's rows, plus loops of their own for
+//!   the two phases the fully dynamic replay never runs. The hint-decode
+//!   loop verifies the shipped hints as the static-hint `translate` does
+//!   (charges asserted equal to its own); the concretize loop times the
+//!   whole `Translator::concretize` call on prebuilt symbolic
+//!   translations, its list scheduling and register assignment included;
+//! * **concretize vs translate** — on every raw suite loop, a symbolic
+//!   translation concretized at the design point against a direct point
+//!   `translate`, the work a family-memo hit pays against a full
+//!   retranslation. The outcomes (result, per-phase charges, verdict) are
+//!   asserted bit-identical before the pair is timed.
+//!
+//! `"bit_identical": true` in the report records that both identity checks
+//! held: concretize ≡ direct translate, and the phase replays' charges ≡
+//! `translate`'s. The absolute numbers compare against the committed
+//! `BENCH_translate.json`, measured on the 2-core host EXPERIMENTS.md
+//! describes.
 //!
 //! Results are printed and written to `BENCH_translate.json`. Timing keeps
 //! the best of `VEAL_BENCH_PASSES` passes (default 5). Environment knobs
-//! for the CI smoke job: `VEAL_BENCH_APPS` truncates the suite,
-//! `VEAL_BENCH_REPS` sets the timed repetitions per loop (default 5),
-//! and `VEAL_BENCH_MIN_SPEEDUP` (a float) makes the run exit non-zero
-//! when `translate_speedup` lands below the floor.
+//! for the CI smoke job: `VEAL_BENCH_APPS` truncates the suite, and
+//! `VEAL_BENCH_REPS` sets the timed repetitions per loop of the
+//! concretize-vs-translate pair (default 5).
 //!
 //! `--trace-out <path>` records one `translate_start`/`translate_end`
-//! event pair per suite loop from the end-to-end validation pass (this
-//! bin drives the `Translator` directly, so the events are constructed
-//! here rather than by a `VmSession`). Tracing never changes the timed
-//! numbers or the bit-identity asserts.
+//! event pair per raw suite loop from the concretize-vs-translate
+//! validation pass (this bin drives the `Translator` directly, so the
+//! events are constructed here rather than by a `VmSession`). Tracing
+//! never changes the timed numbers or the bit-identity asserts.
 
 use std::sync::Arc;
 use std::time::Instant;
 use veal::ir::meter::ALL_PHASES;
-use veal::ir::streams::{separate, StreamSummary};
-use veal::ir::{set_data_oriented, CostMeter, Dfg, OpId, Phase, PhaseBreakdown, RefDfg};
+use veal::ir::streams::separate;
+use veal::ir::{CostMeter, Phase, PhaseBreakdown};
 use veal::obs::TranslateStatus;
-use veal::sched::{
-    assign_registers, list_schedule, rec_mii, res_mii, set_parametric_enabled, swing_order,
-    ModuloSchedule, ScheduleError,
-};
-use veal::vm::verify::verify_and_apply_cca;
+use veal::sched::{assign_registers, list_schedule, rec_mii, res_mii, swing_order};
+use veal::vm::verify::{verify_and_apply_cca, verify_priority};
 use veal::vm::{StaticHints, TranslationPolicy, Translator};
 use veal::workloads::{synth_loop, SynthSpec};
 use veal::{
     compute_hints, legalize, AcceleratorConfig, CcaSpec, Event, JsonlSink, LoopBody, Trace,
     TransformLimits,
 };
-
-/// The pre-optimization translation kernels (hash-set Swing ordering over
-/// a fresh naive Floyd–Warshall, hash-map list scheduler), retained
-/// verbatim in `veal::sched::reference` so the benchmark compares real old
-/// code against real new code on the same build — and so the end-to-end
-/// old arm (`set_data_oriented(false)`) routes `translate` through them.
-use veal::sched::reference;
-
-/// One loop readied for the scheduling kernel: separated, CCA-mapped, MII
-/// computed — exactly the state `modulo_schedule` sees inside `translate`.
-struct Prepped {
-    name: String,
-    /// The raw loop body before stream separation — input to the
-    /// loop-identification and stream-separation phase kernels.
-    raw: Dfg,
-    /// Separated but not yet CCA-mapped — input to the CCA-mapping and
-    /// hint-decode phase kernels.
-    sep: Dfg,
-    dfg: Dfg,
-    summary: StreamSummary,
-    mii: u32,
-}
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -116,8 +68,7 @@ fn env_usize(key: &str, default: usize) -> usize {
 }
 
 /// Minimum wall-clock nanos over `passes` runs of `f`. Taking the best of N
-/// passes filters scheduler/frequency noise out of each sample; it is applied
-/// identically to both arms so the speedup ratio stays unbiased.
+/// passes filters scheduler/frequency noise out of each sample.
 fn min_ns(passes: usize, mut f: impl FnMut()) -> u128 {
     let mut best = u128::MAX;
     for _ in 0..passes {
@@ -242,55 +193,113 @@ fn dynamic_phase_walls(
     *m.breakdown()
 }
 
-/// Fully dynamic wall-clock share per phase over `bodies`, against the
-/// meter's share: `(phase, wall %, unit %)` in [`ALL_PHASES`] order. Each
-/// phase keeps its best total over `passes` whole passes. A population
-/// larger than the MinDist cache (64 entries per thread) reaches every
-/// loop with its frontier evicted, so the priority row includes building
-/// it, as a first translation does.
-fn fig8_shares(
-    bodies: &[&LoopBody],
-    config: &AcceleratorConfig,
-    passes: usize,
-) -> Vec<(Phase, f64, f64)> {
-    let spec = CcaSpec::paper();
-    let translator = Translator::new(
-        config.clone(),
-        Some(spec.clone()),
-        TranslationPolicy::fully_dynamic(),
-    );
-    let mut units = [0u64; 10];
-    for body in bodies {
-        let want = translator.translate(body, &StaticHints::none()).breakdown;
-        let got = dynamic_phase_walls(body, config, &spec, &mut [0; 10]);
-        assert_eq!(want, got, "{}: phase replay charges diverged", body.name);
-        for &p in ALL_PHASES {
-            units[p as usize] += got.get(p);
-        }
-    }
-    let mut best = [u128::MAX; 10];
-    for _ in 0..passes {
-        let mut wall = [0u128; 10];
+/// One population's fully dynamic phase replay, indexed by
+/// `Phase as usize`: each phase's best whole-population wall time over the
+/// passes, and the meter units it charged.
+struct Replay {
+    wall_ns: [u128; 10],
+    units: [u64; 10],
+}
+
+impl Replay {
+    /// Replays every loop of `bodies` phase by phase, asserting each
+    /// replay's charges equal a fully dynamic `translate`'s, and keeps each
+    /// phase's best total over `passes` whole passes. A population larger
+    /// than the MinDist cache (64 entries per thread) reaches every loop
+    /// with its frontier evicted, so the priority row includes building
+    /// it, as a first translation does.
+    fn run(bodies: &[&LoopBody], translator: &Translator, passes: usize) -> Replay {
+        let config = translator.config();
+        let spec = CcaSpec::paper();
+        let mut units = [0u64; 10];
         for body in bodies {
-            dynamic_phase_walls(body, config, &spec, &mut wall);
+            let want = translator.translate(body, &StaticHints::none()).breakdown;
+            let got = dynamic_phase_walls(body, config, &spec, &mut [0; 10]);
+            assert_eq!(want, got, "{}: phase replay charges diverged", body.name);
+            for &p in ALL_PHASES {
+                units[p as usize] += got.get(p);
+            }
         }
-        for (b, w) in best.iter_mut().zip(wall) {
-            *b = (*b).min(w);
+        let mut wall_ns = [u128::MAX; 10];
+        for _ in 0..passes {
+            let mut wall = [0u128; 10];
+            for body in bodies {
+                dynamic_phase_walls(body, config, &spec, &mut wall);
+            }
+            for (b, w) in wall_ns.iter_mut().zip(wall) {
+                *b = (*b).min(w);
+            }
+        }
+        Replay { wall_ns, units }
+    }
+
+    /// Wall-clock share per phase against the meter's share:
+    /// `(phase, wall %, unit %)` in [`ALL_PHASES`] order.
+    fn shares(&self) -> Vec<(Phase, f64, f64)> {
+        let wall_total: u128 = self.wall_ns.iter().sum();
+        let unit_total: u64 = self.units.iter().sum();
+        ALL_PHASES
+            .iter()
+            .map(|&p| {
+                let i = p as usize;
+                (
+                    p,
+                    100.0 * self.wall_ns[i] as f64 / wall_total.max(1) as f64,
+                    100.0 * self.units[i] as f64 / unit_total.max(1) as f64,
+                )
+            })
+            .collect()
+    }
+}
+
+/// Adds the wall time of the hint-decode kernels of one static-hint
+/// translation of `body` to `wall` — CCA hint verification and collapse,
+/// then priority verification, on the graphs `Translator::translate` gives
+/// them — and returns what the phase charged. A CCA hint that fails
+/// verification sends `translate` to the dynamic mapper, which runs here
+/// untimed so the order is checked against the same graph.
+fn hint_decode_wall(
+    body: &LoopBody,
+    hints: &StaticHints,
+    config: &AcceleratorConfig,
+    spec: &CcaSpec,
+    wall: &mut u128,
+) -> u64 {
+    let Ok(sep) = separate(&body.dfg, &mut CostMeter::new()) else {
+        return 0;
+    };
+    let summary = sep.summary();
+    let mut dfg = sep.dfg;
+    let mut m = CostMeter::new();
+    if let Some(groups) = &hints.cca_groups {
+        let t = Instant::now();
+        let ok = verify_and_apply_cca(&mut dfg, spec, groups, &mut m).is_ok();
+        *wall += t.elapsed().as_nanos();
+        if !ok {
+            veal::cca::map_cca(&mut dfg, spec, &mut CostMeter::new());
         }
     }
-    let wall_total: u128 = best.iter().sum();
-    let unit_total: u64 = units.iter().sum();
-    ALL_PHASES
-        .iter()
-        .map(|&p| {
-            let i = p as usize;
-            (
-                p,
-                100.0 * best[i] as f64 / wall_total.max(1) as f64,
-                100.0 * units[i] as f64 / unit_total.max(1) as f64,
-            )
-        })
-        .collect()
+    let Some(order) = &hints.priority else {
+        return m.breakdown().get(Phase::HintDecode);
+    };
+    let t = Instant::now();
+    let verified = verify_priority(&dfg, order, &mut m).is_ok();
+    *wall += t.elapsed().as_nanos();
+    // Once the loop passes its capability and MII checks, the scheduler
+    // charges one pass over the graph for taking the verified order; there
+    // is no kernel to time.
+    if verified && config.check_streams(summary).is_ok() {
+        let mut untimed = CostMeter::new();
+        let mii = res_mii(&dfg, config, summary, &mut untimed).max(rec_mii(
+            &dfg,
+            &config.latencies,
+            &mut untimed,
+        ));
+        if mii <= config.max_ii {
+            m.charge(Phase::HintDecode, dfg.len() as u64);
+        }
+    }
+    m.breakdown().get(Phase::HintDecode)
 }
 
 /// The `fig8_wall_share` JSON object for one population.
@@ -327,98 +336,15 @@ fn trace_out_arg() -> Option<std::path::PathBuf> {
     None
 }
 
-fn prep_suite(apps: &[veal::workloads::Application], config: &AcceleratorConfig) -> Vec<Prepped> {
-    let spec = CcaSpec::paper();
-    let mut out = Vec::new();
-    for app in apps {
-        for (i, l) in app.loops.iter().enumerate() {
-            let mut meter = CostMeter::new();
-            let Ok(sep) = separate(&l.raw.body.dfg, &mut meter) else {
-                continue;
-            };
-            let summary = sep.summary();
-            if config.check_streams(summary).is_err() {
-                continue;
-            }
-            let sep_dfg = sep.dfg.clone();
-            let mut dfg = sep.dfg;
-            veal::cca::map_cca(&mut dfg, &spec, &mut meter);
-            let mii = res_mii(&dfg, config, summary, &mut meter).max(rec_mii(
-                &dfg,
-                &config.latencies,
-                &mut meter,
-            ));
-            if mii > config.max_ii {
-                continue;
-            }
-            out.push(Prepped {
-                name: format!("{}#{i}", app.name),
-                raw: l.raw.body.dfg.clone(),
-                sep: sep_dfg,
-                dfg,
-                summary,
-                mii,
-            });
-        }
-    }
-    out
-}
-
-/// Old kernels: hash-based Swing order over a fresh naive Floyd–Warshall,
-/// then the hash-map list scheduler.
-fn old_prio_and_sched(
-    p: &Prepped,
-    config: &AcceleratorConfig,
-    ii: u32,
-) -> (
-    Vec<OpId>,
-    Result<ModuloSchedule, ScheduleError>,
-    PhaseBreakdown,
-) {
-    let mut meter = CostMeter::new();
-    let order = reference::swing_order(&p.dfg, &config.latencies, ii, &mut meter);
-    let sched = reference::list_schedule(&p.dfg, config, &order, ii, p.summary, &mut meter);
-    (order, sched, *meter.breakdown())
-}
-
-/// New kernels: bitset Swing order over the II-parametric MinDist
-/// envelope, then the dense-array list scheduler.
-fn new_prio_and_sched(
-    p: &Prepped,
-    config: &AcceleratorConfig,
-    ii: u32,
-) -> (
-    Vec<OpId>,
-    Result<ModuloSchedule, ScheduleError>,
-    PhaseBreakdown,
-) {
-    let mut meter = CostMeter::new();
-    let order = swing_order(&p.dfg, &config.latencies, ii, &mut meter);
-    let sched = list_schedule(&p.dfg, config, &order, ii, p.summary, &mut meter);
-    (order, sched, *meter.breakdown())
-}
-
-/// Asserts the old and new schedulers produced the same schedule (or the
-/// same failure): same II, same op→time map, same op→unit map.
-fn assert_same_schedule(
-    name: &str,
-    old: &Result<ModuloSchedule, ScheduleError>,
-    new: &Result<ModuloSchedule, ScheduleError>,
-) {
-    match (old, new) {
-        (Err(eo), Err(en)) => assert_eq!(eo, en, "{name}: errors diverged"),
-        (Ok(so), Ok(sn)) => {
-            assert_eq!(so.ii, sn.ii, "{name}: II diverged");
-            assert_eq!(so.entries(), sn.entries(), "{name}: times diverged");
-            for (op, _) in so.entries() {
-                assert_eq!(so.unit(op), sn.unit(op), "{name}: unit of {op} diverged");
-            }
-        }
-        (o, n) => panic!(
-            "{name}: outcome diverged (old ok={}, new ok={})",
-            o.is_ok(),
-            n.is_ok()
+/// The schedule, control size and CCA counts of a translation, or its
+/// error: what must match between a direct and a concretized translation.
+fn signature(r: &Result<veal::vm::TranslatedLoop, veal::vm::TranslationError>) -> String {
+    match r {
+        Ok(t) => format!(
+            "{}|{}|{}|{}",
+            t.scheduled.schedule, t.control_words, t.cca_groups, t.accel_ops
         ),
+        Err(e) => format!("ERR {e}"),
     }
 }
 
@@ -442,336 +368,53 @@ fn main() {
     let reps = env_usize("VEAL_BENCH_REPS", 5).max(1) as u32;
     let passes = env_usize("VEAL_BENCH_PASSES", 5).max(1);
     let config = AcceleratorConfig::paper_design();
-    let prepped = prep_suite(&apps, &config);
-    println!(
-        "bench_translate: {} apps, {} schedulable loops, {} reps/loop, best of {} passes",
-        apps.len(),
-        prepped.len(),
-        reps,
-        passes
-    );
-
-    // --- priority + scheduling, old vs new kernel ------------------------
-    // Each loop is visited at a small range of IIs starting at its MII:
-    // exactly what the DSE sweep (one MII per machine configuration) and
-    // the scheduler's own II escalation generate.
-    set_parametric_enabled(true);
-    let iis = env_usize("VEAL_BENCH_IIS", 8).max(1) as u32;
-    let mut points = 0usize;
-    let mut old_prio_ns = 0u128;
-    let mut old_sched_ns = 0u128;
-    let mut new_prio_ns = 0u128;
-    let mut new_sched_ns = 0u128;
-    for p in &prepped {
-        for ii in p.mii..=(p.mii + iis - 1).min(config.max_ii) {
-            points += 1;
-            // Warm both kernels once and assert bit-identity: same order,
-            // same schedule (or same failure), same per-phase charges.
-            let (order_o, sched_o, bd_o) = old_prio_and_sched(p, &config, ii);
-            let (order_n, sched_n, bd_n) = new_prio_and_sched(p, &config, ii);
-            assert_eq!(order_o, order_n, "{}@{ii}: swing order diverged", p.name);
-            assert_same_schedule(&p.name, &sched_o, &sched_n);
-            assert_eq!(bd_o, bd_n, "{}@{ii}: phase breakdown diverged", p.name);
-
-            old_prio_ns += min_ns(passes, || {
-                for _ in 0..reps {
-                    let mut meter = CostMeter::new();
-                    std::hint::black_box(reference::swing_order(
-                        &p.dfg,
-                        &config.latencies,
-                        ii,
-                        &mut meter,
-                    ));
-                }
-            });
-            old_sched_ns += min_ns(passes, || {
-                for _ in 0..reps {
-                    let mut meter = CostMeter::new();
-                    let _ = std::hint::black_box(reference::list_schedule(
-                        &p.dfg, &config, &order_n, ii, p.summary, &mut meter,
-                    ));
-                }
-            });
-
-            new_prio_ns += min_ns(passes, || {
-                for _ in 0..reps {
-                    let mut meter = CostMeter::new();
-                    std::hint::black_box(swing_order(&p.dfg, &config.latencies, ii, &mut meter));
-                }
-            });
-            new_sched_ns += min_ns(passes, || {
-                for _ in 0..reps {
-                    let mut meter = CostMeter::new();
-                    let _ = std::hint::black_box(list_schedule(
-                        &p.dfg, &config, &order_n, ii, p.summary, &mut meter,
-                    ));
-                }
-            });
-        }
-    }
-
-    // --- per-phase breakdown, old vs new ---------------------------------
-    // One wall-clock entry per `Phase`, timing that phase's kernel in
-    // isolation over every schedulable loop. Phases whose kernels dispatch
-    // on the data-oriented toggle are timed under both arms and asserted
-    // bit-identical; phases untouched by the sweep run the same code twice.
     let spec = CcaSpec::paper();
-    let mut ph_old = [0u128; 10];
-    let mut ph_new = [0u128; 10];
-    assert_eq!(ALL_PHASES.len(), 10);
-    let fold_ref = |r: &RefDfg| {
-        let ok = r.verify().is_ok();
-        let n_sccs = r.sccs().len();
-        r.content_hash() ^ u64::from(ok) ^ (n_sccs as u64) << 1
-    };
-    for p in &prepped {
-        // loop-ident: re-derive every structural analysis (adjacency,
-        // verification, SCCs, content hash) from the raw node/edge lists —
-        // push-built `Vec<Vec<u32>>` adjacency vs the CSR arena build.
-        {
-            let r = RefDfg::from_dfg(&p.raw);
-            assert_eq!(
-                fold_ref(&r),
-                p.raw.reanalyze(),
-                "{}: loop-ident analyses diverged",
-                p.name
-            );
-            let i = Phase::LoopIdent as usize;
-            ph_old[i] += min_ns(passes, || {
-                for _ in 0..reps {
-                    let r = RefDfg::from_dfg(&p.raw);
-                    std::hint::black_box(fold_ref(&r));
-                }
-            });
-            ph_new[i] += min_ns(passes, || {
-                for _ in 0..reps {
-                    std::hint::black_box(p.raw.reanalyze());
-                }
-            });
-        }
-
-        // stream-sep: the full separation pass, reference vs single-pass.
-        {
-            set_data_oriented(false);
-            let mut m_o = CostMeter::new();
-            let out_o = separate(&p.raw, &mut m_o).expect("prepped loop separates");
-            set_data_oriented(true);
-            let mut m_n = CostMeter::new();
-            let out_n = separate(&p.raw, &mut m_n).expect("prepped loop separates");
-            assert_eq!(
-                out_o.dfg.content_hash(),
-                out_n.dfg.content_hash(),
-                "{}: separation diverged",
-                p.name
-            );
-            assert_eq!(
-                m_o.breakdown(),
-                m_n.breakdown(),
-                "{}: separation charges diverged",
-                p.name
-            );
-            let i = Phase::StreamSep as usize;
-            for (arm, acc) in [(false, &mut ph_old[i]), (true, &mut ph_new[i])] {
-                set_data_oriented(arm);
-                *acc += min_ns(passes, || {
-                    for _ in 0..reps {
-                        let mut meter = CostMeter::new();
-                        let _ = std::hint::black_box(separate(&p.raw, &mut meter));
-                    }
-                });
-            }
-        }
-
-        // cca-mapping: the greedy seed-and-grow mapper plus group commit.
-        {
-            set_data_oriented(false);
-            let mut m_o = CostMeter::new();
-            let mut d_o = p.sep.clone();
-            let g_o = veal::cca::map_cca(&mut d_o, &spec, &mut m_o);
-            set_data_oriented(true);
-            let mut m_n = CostMeter::new();
-            let mut d_n = p.sep.clone();
-            let g_n = veal::cca::map_cca(&mut d_n, &spec, &mut m_n);
-            assert_eq!(g_o, g_n, "{}: CCA groups diverged", p.name);
-            assert_eq!(
-                d_o.content_hash(),
-                d_n.content_hash(),
-                "{}: CCA-mapped graph diverged",
-                p.name
-            );
-            assert_eq!(
-                m_o.breakdown(),
-                m_n.breakdown(),
-                "{}: CCA charges diverged",
-                p.name
-            );
-            let i = Phase::CcaMapping as usize;
-            for (arm, acc) in [(false, &mut ph_old[i]), (true, &mut ph_new[i])] {
-                set_data_oriented(arm);
-                *acc += min_ns(passes, || {
-                    for _ in 0..reps {
-                        let mut meter = CostMeter::new();
-                        let mut d = p.sep.clone();
-                        std::hint::black_box(veal::cca::map_cca(&mut d, &spec, &mut meter));
-                    }
-                });
-            }
-        }
-
-        // res-mii / rec-mii: unchanged kernels, same code under both arms.
-        {
-            let i = Phase::ResMii as usize;
-            for (arm, acc) in [(false, &mut ph_old[i]), (true, &mut ph_new[i])] {
-                set_data_oriented(arm);
-                *acc += min_ns(passes, || {
-                    for _ in 0..reps {
-                        let mut meter = CostMeter::new();
-                        std::hint::black_box(res_mii(&p.dfg, &config, p.summary, &mut meter));
-                    }
-                });
-            }
-        }
-        {
-            let i = Phase::RecMii as usize;
-            for (arm, acc) in [(false, &mut ph_old[i]), (true, &mut ph_new[i])] {
-                set_data_oriented(arm);
-                *acc += min_ns(passes, || {
-                    for _ in 0..reps {
-                        let mut meter = CostMeter::new();
-                        std::hint::black_box(rec_mii(&p.dfg, &config.latencies, &mut meter));
-                    }
-                });
-            }
-        }
-
-        // reg-assign: unchanged kernel over the new scheduler's output.
-        set_data_oriented(true);
-        if let (_, Ok(sched), _) = new_prio_and_sched(p, &config, p.mii) {
-            let i = Phase::RegAssign as usize;
-            for (arm, acc) in [(false, &mut ph_old[i]), (true, &mut ph_new[i])] {
-                set_data_oriented(arm);
-                *acc += min_ns(passes, || {
-                    for _ in 0..reps {
-                        let mut meter = CostMeter::new();
-                        let _ = std::hint::black_box(assign_registers(
-                            &p.dfg, &sched, &config, &mut meter,
-                        ));
-                    }
-                });
-            }
-        }
-
-        // hint-decode: re-verify and re-apply the mapper's groups as if
-        // they had arrived as static hints.
-        {
-            set_data_oriented(true);
-            let mut meter = CostMeter::new();
-            let groups: Vec<Vec<OpId>> = veal::cca::identify_groups(&p.sep, &spec, &mut meter)
-                .into_iter()
-                .map(|g| g.members)
-                .collect();
-            let i = Phase::HintDecode as usize;
-            for (arm, acc) in [(false, &mut ph_old[i]), (true, &mut ph_new[i])] {
-                set_data_oriented(arm);
-                *acc += min_ns(passes, || {
-                    for _ in 0..reps {
-                        let mut meter = CostMeter::new();
-                        let mut d = p.sep.clone();
-                        let _ = std::hint::black_box(verify_and_apply_cca(
-                            &mut d, &spec, &groups, &mut meter,
-                        ));
-                    }
-                });
-            }
-        }
-    }
-    set_data_oriented(true);
-    // priority / scheduling: measured by the (loop, II) section above.
-    ph_old[Phase::Priority as usize] = old_prio_ns;
-    ph_new[Phase::Priority as usize] = new_prio_ns;
-    ph_old[Phase::Scheduling as usize] = old_sched_ns;
-    ph_new[Phase::Scheduling as usize] = new_sched_ns;
-
-    // --- end-to-end translate, old arm vs new arm ------------------------
-    let translator = Translator::new(
+    let none = StaticHints::none();
+    let dynamic = Translator::new(
         config.clone(),
-        Some(CcaSpec::paper()),
+        Some(spec.clone()),
         TranslationPolicy::fully_dynamic(),
     );
-    let hints = StaticHints::none();
-    let bodies: Vec<_> = apps
+    let bodies: Vec<&LoopBody> = apps
         .iter()
         .flat_map(|a| a.loops.iter().map(|l| &l.raw.body))
         .collect();
-    let mut old_e2e_ns = 0u128;
-    let mut new_e2e_ns = 0u128;
+    let suite = legalized_suite(&apps, &config);
+    println!(
+        "bench_translate: {} apps, {} raw / {} legalized loops, best of {passes} passes",
+        apps.len(),
+        bodies.len(),
+        suite.len()
+    );
+
+    // --- symbolic concretize vs direct translate -------------------------
+    // The family-memoization differential: one symbolic translation per
+    // raw suite loop, concretized at the design point, must be
+    // bit-identical to a direct point translation — result, per-phase
+    // charges, verdict. The timing pair is the full pipeline (what a
+    // family hit would otherwise recompute) against concretization alone.
+    let (mut translate_ns, mut concretize_ns) = (0u128, 0u128);
     for (key, body) in bodies.iter().enumerate() {
         let key = key as u64;
-        set_parametric_enabled(false);
-        set_data_oriented(false);
-        let out_n = translator.translate(body, &hints);
-        set_parametric_enabled(true);
-        set_data_oriented(true);
         trace.emit(|| Event::TranslateStart {
             key,
             loop_hash: body.content_hash(),
         });
-        let out_p = translator.translate(body, &hints);
+        let direct = dynamic.translate(body, &none);
         trace.emit(|| Event::TranslateEnd {
             key,
-            status: if out_p.result.is_ok() {
+            status: if direct.result.is_ok() {
                 TranslateStatus::Mapped
             } else {
                 TranslateStatus::Failed
             },
-            units: out_p.breakdown.total(),
+            units: direct.breakdown.total(),
             checks: 0,
             degraded: false,
-            breakdown: out_p.breakdown,
+            breakdown: direct.breakdown,
         });
-        assert_eq!(
-            out_n.breakdown, out_p.breakdown,
-            "{}: translate breakdown diverged",
-            body.name
-        );
-        let sig = |r: &Result<veal::vm::TranslatedLoop, veal::vm::TranslationError>| match r {
-            Ok(t) => format!(
-                "{}|{}|{}|{}",
-                t.scheduled.schedule, t.control_words, t.cca_groups, t.accel_ops
-            ),
-            Err(e) => format!("ERR {e}"),
-        };
-        assert_eq!(
-            sig(&out_n.result),
-            sig(&out_p.result),
-            "{}: translate result diverged",
-            body.name
-        );
-        for (new_arm, e2e_ns) in [(false, &mut old_e2e_ns), (true, &mut new_e2e_ns)] {
-            set_parametric_enabled(new_arm);
-            set_data_oriented(new_arm);
-            *e2e_ns += min_ns(passes, || {
-                for _ in 0..reps {
-                    std::hint::black_box(translator.translate(body, &hints));
-                }
-            });
-        }
-    }
-    set_parametric_enabled(true);
-    set_data_oriented(true);
-
-    // --- symbolic concretize vs direct translate -------------------------
-    // The family-memoization differential: one symbolic translation per
-    // loop, concretized at the design point, must be bit-identical to a
-    // direct point translation — result, per-phase charges, verdict. The
-    // timing pair fills the `concretize` phase row: "old" pays the full
-    // pipeline (what a family hit would otherwise recompute), "new" pays
-    // only concretization.
-    for body in &bodies {
-        let sym = translator.translate_symbolic(body, &hints);
-        let direct = translator.translate(body, &hints);
-        let mut cm = CostMeter::new();
-        let conc = translator.concretize(&sym, &mut cm);
+        let sym = dynamic.translate_symbolic(body, &none);
+        let conc = dynamic.concretize(&sym, &mut CostMeter::new());
         assert_eq!(
             direct.breakdown, conc.breakdown,
             "{}: concretize breakdown diverged",
@@ -782,34 +425,25 @@ fn main() {
             "{}: concretize verdict diverged",
             body.name
         );
-        let sig = |r: &Result<veal::vm::TranslatedLoop, veal::vm::TranslationError>| match r {
-            Ok(t) => format!(
-                "{}|{}|{}|{}",
-                t.scheduled.schedule, t.control_words, t.cca_groups, t.accel_ops
-            ),
-            Err(e) => format!("ERR {e}"),
-        };
         assert_eq!(
-            sig(&direct.result),
-            sig(&conc.result),
+            signature(&direct.result),
+            signature(&conc.result),
             "{}: concretize result diverged",
             body.name
         );
-        let i = Phase::Concretize as usize;
-        ph_old[i] += min_ns(passes, || {
+        translate_ns += min_ns(passes, || {
             for _ in 0..reps {
-                std::hint::black_box(translator.translate(body, &hints));
+                std::hint::black_box(dynamic.translate(body, &none));
             }
         });
-        ph_new[i] += min_ns(passes, || {
+        concretize_ns += min_ns(passes, || {
             for _ in 0..reps {
                 let mut cm = CostMeter::new();
-                std::hint::black_box(translator.concretize(&sym, &mut cm));
+                std::hint::black_box(dynamic.concretize(&sym, &mut cm));
             }
         });
     }
-    let concretize_speedup = ph_old[Phase::Concretize as usize] as f64
-        / ph_new[Phase::Concretize as usize].max(1) as f64;
+    let concretize_speedup = translate_ns as f64 / concretize_ns.max(1) as f64;
 
     // --- translation wall time per policy --------------------------------
     // The paper's case for static hints is a cost argument (Fig. 8); the
@@ -817,12 +451,10 @@ fn main() {
     // translations. Every legalized suite loop is translated under each
     // policy; a timed pass covers the whole suite, passes interleave the
     // policies, and each policy keeps its best pass.
-    let suite = legalized_suite(&apps, &config);
-    let none = StaticHints::none();
     let translators: Vec<(bool, Translator)> = POLICIES
         .iter()
         .map(|&(_, policy, hinted)| {
-            let tr = Translator::new(config.clone(), Some(CcaSpec::paper()), policy());
+            let tr = Translator::new(config.clone(), Some(spec.clone()), policy());
             (hinted, tr)
         })
         .collect();
@@ -852,37 +484,73 @@ fn main() {
     let hint_wall_ratio = wall_us(0) / wall_us(hinted).max(1e-9);
     let hint_unit_ratio = units_per(0) / units_per(hinted).max(1e-9);
 
-    // --- Fig. 8 measured: fully dynamic wall share per phase -------------
+    // --- Fig. 8 measured, and one wall-time row per phase ----------------
     let suite_bodies: Vec<&LoopBody> = suite.iter().map(|(b, _)| b).collect();
     let synthetic = synthetic_pool(512);
     let synth_bodies: Vec<&LoopBody> = synthetic.iter().collect();
-    let suite_shares = fig8_shares(&suite_bodies, &config, passes);
-    let synth_shares = fig8_shares(&synth_bodies, &config, passes);
+    let suite_replay = Replay::run(&suite_bodies, &dynamic, passes);
+    let synth_replay = Replay::run(&synth_bodies, &dynamic, passes);
+    let mut phase_ns = suite_replay.wall_ns;
+    // Hint decoding: the shipped hints, verified as the static-hint
+    // translator verifies them.
+    let (_, hinted_tr) = &translators[hinted];
+    for (body, hints) in &suite {
+        assert_eq!(
+            hint_decode_wall(body, hints, &config, &spec, &mut 0),
+            hinted_tr
+                .translate(body, hints)
+                .breakdown
+                .get(Phase::HintDecode),
+            "{}: hint-decode replay charges diverged",
+            body.name
+        );
+    }
+    phase_ns[Phase::HintDecode as usize] = (0..passes)
+        .map(|_| {
+            let mut wall = 0u128;
+            for (body, hints) in &suite {
+                hint_decode_wall(body, hints, &config, &spec, &mut wall);
+            }
+            wall
+        })
+        .min()
+        .unwrap_or(0);
+    // Concretize: the whole call, on prebuilt fully dynamic symbolic
+    // translations.
+    let syms: Vec<_> = suite_bodies
+        .iter()
+        .map(|b| dynamic.translate_symbolic(b, &none))
+        .collect();
+    phase_ns[Phase::Concretize as usize] = min_ns(passes, || {
+        for sym in &syms {
+            let mut cm = CostMeter::new();
+            std::hint::black_box(dynamic.concretize(sym, &mut cm));
+        }
+    });
+    let suite_shares = suite_replay.shares();
+    let synth_shares = synth_replay.shares();
 
     let ms = |ns: u128| ns as f64 / 1e6;
-    println!("priority+sched measured over {points} (loop, II) points");
-    let old_ps = ms(old_prio_ns + old_sched_ns);
-    let new_ps = ms(new_prio_ns + new_sched_ns);
-    let prio_speedup = ms(old_prio_ns) / ms(new_prio_ns).max(1e-9);
-    let sched_speedup = ms(old_sched_ns) / ms(new_sched_ns).max(1e-9);
-    let ps_speedup = old_ps / new_ps.max(1e-9);
-    let e2e_speedup = ms(old_e2e_ns) / ms(new_e2e_ns).max(1e-9);
-    println!("per-phase kernels (old vs new):");
+    println!(
+        "wall time per phase ({} legalized suite loops):",
+        suite.len()
+    );
     for &p in ALL_PHASES {
-        let i = p as usize;
-        let (o, n) = (ms(ph_old[i]), ms(ph_new[i]));
+        let ns = phase_ns[p as usize];
         println!(
-            "  {:<12} : old {o:>9.1} ms  new {n:>9.1} ms  ({:.2}x)",
+            "  {:<12} : {:>8.3} ms  {:>8.2} us/loop",
             p.name(),
-            o / n.max(1e-9)
+            ms(ns),
+            ns as f64 / 1e3 / n_suite as f64
         );
     }
     println!(
-        "translate e2e    : old {:>9.1} ms  new {:>9.1} ms  ({e2e_speedup:.2}x)",
-        ms(old_e2e_ns),
-        ms(new_e2e_ns)
+        "concretize vs translate ({} raw suite loops, {reps} reps): {:.3} ms vs {:.3} ms ({concretize_speedup:.2}x)",
+        bodies.len(),
+        ms(concretize_ns),
+        ms(translate_ns)
     );
-    println!("outputs          : bit-identical across both kernels");
+    println!("outputs          : concretize and phase replays bit-identical to translate");
     println!(
         "translate per policy ({} legalized suite loops):",
         suite.len()
@@ -907,17 +575,18 @@ fn main() {
         );
     }
 
-    let mut phases_json = String::new();
-    for (k, &p) in ALL_PHASES.iter().enumerate() {
-        let i = p as usize;
-        let (o, n) = (ms(ph_old[i]), ms(ph_new[i]));
-        phases_json.push_str(&format!(
-            "    \"{}\": {{ \"old_ms\": {o:.3}, \"new_ms\": {n:.3}, \"speedup\": {:.3} }}{}\n",
-            p.name(),
-            o / n.max(1e-9),
-            if k + 1 < ALL_PHASES.len() { "," } else { "" }
-        ));
-    }
+    let phase_rows: Vec<String> = ALL_PHASES
+        .iter()
+        .map(|&p| {
+            let ns = phase_ns[p as usize];
+            format!(
+                "      \"{}\": {{ \"ms\": {:.3}, \"us_per_loop\": {:.2} }}",
+                p.name(),
+                ms(ns),
+                ns as f64 / 1e3 / n_suite as f64
+            )
+        })
+        .collect();
     let policy_rows: Vec<String> = POLICIES
         .iter()
         .enumerate()
@@ -937,33 +606,20 @@ fn main() {
         policy_rows.join(",\n")
     );
     let json = format!(
-        "{{\n  \"suite\": \"full\",\n  \"apps\": {},\n  \"loops_schedulable\": {},\n  \
-         \"ii_points\": {},\n  \"reps_per_point\": {},\n  \"old_priority_ms\": {:.3},\n  \
-         \"new_priority_ms\": {:.3},\n  \"old_scheduling_ms\": {:.3},\n  \
-         \"new_scheduling_ms\": {:.3},\n  \"priority_speedup\": {:.3},\n  \
-         \"scheduling_speedup\": {:.3},\n  \"priority_scheduling_speedup\": {:.3},\n  \
-         \"phases\": {{\n{}  }},\n  \
-         \"old_translate_ms\": {:.3},\n  \"new_translate_ms\": {:.3},\n  \
-         \"translate_speedup\": {:.3},\n  \"symbolic_concretize_speedup\": {:.3},\n  \
+        "{{\n  \"suite\": \"full\",\n  \"apps\": {},\n  \"passes\": {passes},\n  \
+         \"phase_wall\": {{\n    \"loops\": {},\n    \"phases\": {{\n{}\n    }}\n  }},\n  \
+         \"concretize_vs_translate\": {{\n    \"loops\": {},\n    \"reps_per_loop\": {reps},\n    \
+         \"translate_ms\": {:.3},\n    \"concretize_ms\": {:.3},\n    \
+         \"speedup\": {concretize_speedup:.3}\n  }},\n  \
          \"policies\": {},\n  \
          \"fig8_wall_share\": {{\n    \"suite\": {},\n    \"synthetic\": {}\n  }},\n  \
          \"bit_identical\": true\n}}\n",
         apps.len(),
-        prepped.len(),
-        points,
-        reps,
-        ms(old_prio_ns),
-        ms(new_prio_ns),
-        ms(old_sched_ns),
-        ms(new_sched_ns),
-        prio_speedup,
-        sched_speedup,
-        ps_speedup,
-        phases_json,
-        ms(old_e2e_ns),
-        ms(new_e2e_ns),
-        e2e_speedup,
-        concretize_speedup,
+        suite.len(),
+        phase_rows.join(",\n"),
+        bodies.len(),
+        ms(translate_ns),
+        ms(concretize_ns),
         policies_json,
         shares_json(suite.len(), &suite_shares),
         shares_json(synthetic.len(), &synth_shares),
@@ -976,15 +632,5 @@ fn main() {
     if let Err(e) = trace.flush() {
         eprintln!("bench_translate: failed to flush trace: {e}");
         std::process::exit(1);
-    }
-    if let Some(floor) = std::env::var("VEAL_BENCH_MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-    {
-        if e2e_speedup < floor {
-            eprintln!("bench_translate: translate_speedup {e2e_speedup:.3} below floor {floor:.3}");
-            std::process::exit(1);
-        }
-        println!("translate_speedup {e2e_speedup:.3} >= floor {floor:.3}");
     }
 }

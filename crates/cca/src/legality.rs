@@ -7,33 +7,14 @@
 //! reachability closure ([`Condensation`]) instead of re-running a BFS
 //! per query.
 //!
-//! Two implementations coexist, selected by
-//! [`veal_ir::data_oriented_enabled`]:
-//!
-//! * the **reference** path (`*_reference`) allocates its masks and
-//!   per-member tables fresh on every query and resolves member indices
-//!   by linear scan — the pre-sweep behavior, retained as the executable
-//!   specification and as the old arm of `bench_translate`;
-//! * the **fast** path (`*_in`) threads a [`LegalityScratch`] of
-//!   arena-backed buffers through every query and reads the graph through
-//!   its CSR [`veal_ir::Adjacency`], so a legality trial in the mapper's
-//!   inner loop allocates nothing.
-//!
-//! Both produce identical verdicts (pinned by the equivalence corpus in
-//! `crates/ir/tests/soa_equivalence.rs` and the cca property tests).
+//! Each kernel (`*_in`) threads a [`LegalityScratch`] of arena-backed
+//! buffers through every query and reads the graph through its CSR
+//! [`veal_ir::Adjacency`], so a legality trial in the mapper's inner loop
+//! allocates nothing. The plain entry points ([`is_legal_group`],
+//! [`group_io`], …) wrap them with a fresh scratch.
 
 use crate::spec::CcaSpec;
-use std::collections::VecDeque;
-use veal_ir::{data_oriented_enabled, with_arena, Condensation, Dfg, OpId, Opcode};
-
-/// Packed membership mask over node slots (`words` = `⌈len/64⌉`).
-fn mask_of(group: &[OpId], words: usize) -> Vec<u64> {
-    let mut m = vec![0u64; words];
-    for &g in group {
-        m[g.index() / 64] |= 1u64 << (g.index() % 64);
-    }
-    m
-}
+use veal_ir::{with_arena, Condensation, Dfg, OpId, Opcode};
 
 #[inline]
 fn bit(mask: &[u64], i: usize) -> bool {
@@ -151,41 +132,7 @@ pub struct GroupIo {
 /// Counts the external inputs and outputs a group would need.
 #[must_use]
 pub fn group_io(dfg: &Dfg, group: &[OpId]) -> GroupIo {
-    if data_oriented_enabled() {
-        group_io_in(dfg, group, &mut LegalityScratch::new())
-    } else {
-        group_io_reference(dfg, group)
-    }
-}
-
-/// Allocation-per-call [`group_io`], retained as the reference.
-#[must_use]
-pub fn group_io_reference(dfg: &Dfg, group: &[OpId]) -> GroupIo {
-    let words = dfg.len().div_ceil(64);
-    let set = mask_of(group, words);
-    let mut producers = vec![0u64; words];
-    let mut outputs = vec![0u64; words];
-    for &m in group {
-        for e in dfg.pred_edges(m) {
-            // A loop-carried edge from inside the group still needs a
-            // register round-trip, i.e. an input port.
-            if !bit(&set, e.src.index()) || e.distance > 0 {
-                set_bit(&mut producers, e.src.index());
-            }
-        }
-        for e in dfg.succ_edges(m) {
-            if !bit(&set, e.dst.index()) || e.distance > 0 {
-                set_bit(&mut outputs, m.index());
-            }
-        }
-        if dfg.node(m).live_out {
-            set_bit(&mut outputs, m.index());
-        }
-    }
-    GroupIo {
-        inputs: count_ones(&producers),
-        outputs: count_ones(&outputs),
-    }
+    group_io_in(dfg, group, &mut LegalityScratch::new())
 }
 
 /// [`group_io`] over the CSR adjacency and a caller-owned scratch.
@@ -231,87 +178,7 @@ pub fn group_io_in(dfg: &Dfg, group: &[OpId], s: &mut LegalityScratch) -> GroupI
 /// per-row capacity.
 #[must_use]
 pub fn assign_rows(dfg: &Dfg, spec: &CcaSpec, group: &[OpId]) -> Option<RowAssignment> {
-    if data_oriented_enabled() {
-        assign_rows_in(dfg, spec, group, &mut LegalityScratch::new())
-    } else {
-        assign_rows_reference(dfg, spec, group)
-    }
-}
-
-/// Allocation-per-call [`assign_rows`] with linear-scan member lookup,
-/// retained as the reference.
-#[must_use]
-pub fn assign_rows_reference(dfg: &Dfg, spec: &CcaSpec, group: &[OpId]) -> Option<RowAssignment> {
-    let words = dfg.len().div_ceil(64);
-    let set = mask_of(group, words);
-    if group.len() > spec.max_ops() {
-        return None;
-    }
-    // Topological order within the group over distance-0 edges.
-    let mut indeg: Vec<usize> = group
-        .iter()
-        .map(|&m| {
-            dfg.pred_edges(m)
-                .filter(|e| e.distance == 0 && bit(&set, e.src.index()))
-                .count()
-        })
-        .collect();
-    let index_of = |id: OpId| group.iter().position(|&g| g == id).expect("member");
-    let mut queue: VecDeque<usize> = (0..group.len()).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(group.len());
-    while let Some(i) = queue.pop_front() {
-        order.push(group[i]);
-        for e in dfg.succ_edges(group[i]) {
-            if e.distance == 0 && bit(&set, e.dst.index()) {
-                let j = index_of(e.dst);
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    queue.push_back(j);
-                }
-            }
-        }
-    }
-    if order.len() != group.len() {
-        return None; // distance-0 cycle inside the group
-    }
-
-    let mut row_of: Vec<Option<usize>> = vec![None; group.len()];
-    let mut row_load = vec![0usize; spec.depth()];
-    for &m in &order {
-        let min_row = dfg
-            .pred_edges(m)
-            .filter(|e| e.distance == 0 && bit(&set, e.src.index()))
-            .map(|e| row_of[index_of(e.src)].expect("producer placed") + 1)
-            .max()
-            .unwrap_or(0);
-        let needs_arith = dfg
-            .node(m)
-            .opcode()
-            .expect("member is an op")
-            .cca_arithmetic();
-        let mut placed = false;
-        for (r, load) in row_load.iter_mut().enumerate().skip(min_row) {
-            if needs_arith && !spec.row_supports_arith(r) {
-                continue;
-            }
-            if *load >= spec.row_caps[r] {
-                continue;
-            }
-            row_of[index_of(m)] = Some(r);
-            *load += 1;
-            placed = true;
-            break;
-        }
-        if !placed {
-            return None;
-        }
-    }
-    Some(RowAssignment {
-        rows: group
-            .iter()
-            .map(|&m| (m, row_of[index_of(m)].expect("placed")))
-            .collect(),
-    })
+    assign_rows_in(dfg, spec, group, &mut LegalityScratch::new())
 }
 
 /// [`assign_rows`] over the CSR adjacency with O(1) member lookup through
@@ -442,43 +309,7 @@ pub(crate) fn assign_rows_fill_in(
 /// external segments are the escape and the re-entry).
 #[must_use]
 pub fn is_convex(cond: &Condensation, group: &[OpId]) -> bool {
-    if data_oriented_enabled() {
-        is_convex_in(cond, group, &mut LegalityScratch::new())
-    } else {
-        is_convex_reference(cond, group)
-    }
-}
-
-/// Allocation-per-call [`is_convex`], retained as the reference.
-#[must_use]
-pub fn is_convex_reference(cond: &Condensation, group: &[OpId]) -> bool {
-    let words = cond.reach0().words_per_row();
-    if words == 0 {
-        return true;
-    }
-    let member = mask_of(group, words);
-    // Everything reachable from the group (reflexivity contributes only
-    // member bits, masked off below).
-    let mut out = vec![0u64; words];
-    for &m in group {
-        for (o, &r) in out.iter_mut().zip(cond.reach0_row(m)) {
-            *o |= r;
-        }
-    }
-    for (o, &m) in out.iter_mut().zip(&member) {
-        *o &= !m;
-    }
-    for (w, &word) in out.iter().enumerate() {
-        let mut word = word;
-        while word != 0 {
-            let x = w * 64 + word.trailing_zeros() as usize;
-            word &= word - 1;
-            if cond.reach0().row_intersects(x, &member) {
-                return false;
-            }
-        }
-    }
-    true
+    is_convex_in(cond, group, &mut LegalityScratch::new())
 }
 
 /// [`is_convex`] over a caller-owned scratch.
@@ -528,46 +359,7 @@ pub fn is_convex_in(cond: &Condensation, group: &[OpId], s: &mut LegalityScratch
 /// ([`Dfg::condensation`]); only cyclic components matter.
 #[must_use]
 pub fn recurrences_ok(dfg: &Dfg, spec: &CcaSpec, group: &[OpId], cond: &Condensation) -> bool {
-    if data_oriented_enabled() {
-        recurrences_ok_in(dfg, spec, group, cond, &mut LegalityScratch::new())
-    } else {
-        recurrences_ok_reference(dfg, spec, group, cond)
-    }
-}
-
-/// Allocation-per-call [`recurrences_ok`], retained as the reference.
-#[must_use]
-pub fn recurrences_ok_reference(
-    dfg: &Dfg,
-    spec: &CcaSpec,
-    group: &[OpId],
-    cond: &Condensation,
-) -> bool {
-    let words = dfg.len().div_ceil(64);
-    let set = mask_of(group, words);
-    for (ci, scc) in cond.comps().iter().enumerate() {
-        if !cond.is_cyclic(ci) {
-            continue;
-        }
-        let inside: Vec<OpId> = scc
-            .iter()
-            .copied()
-            .filter(|m| bit(&set, m.index()))
-            .collect();
-        if inside.is_empty() {
-            continue;
-        }
-        // The members on this recurrence must amortize the CCA latency.
-        if (inside.len() as u32) < spec.latency {
-            return false;
-        }
-        // And they must be contiguous (weakly connected via distance-0 edges
-        // within the group ∩ SCC) so the cycle passes through the CCA once.
-        if !weakly_connected_reference(dfg, &inside) {
-            return false;
-        }
-    }
-    true
+    recurrences_ok_in(dfg, spec, group, cond, &mut LegalityScratch::new())
 }
 
 /// [`recurrences_ok`] over a caller-owned scratch.
@@ -604,34 +396,6 @@ pub fn recurrences_ok_in(
         }
     }
     true
-}
-
-fn weakly_connected_reference(dfg: &Dfg, nodes: &[OpId]) -> bool {
-    if nodes.len() <= 1 {
-        return true;
-    }
-    let words = dfg.len().div_ceil(64);
-    let set = mask_of(nodes, words);
-    let mut visited = vec![0u64; words];
-    let mut work = vec![nodes[0]];
-    set_bit(&mut visited, nodes[0].index());
-    while let Some(x) = work.pop() {
-        for e in dfg.succ_edges(x) {
-            let d = e.dst.index();
-            if e.distance == 0 && bit(&set, d) && !bit(&visited, d) {
-                set_bit(&mut visited, d);
-                work.push(e.dst);
-            }
-        }
-        for e in dfg.pred_edges(x) {
-            let s = e.src.index();
-            if e.distance == 0 && bit(&set, s) && !bit(&visited, s) {
-                set_bit(&mut visited, s);
-                work.push(e.src);
-            }
-        }
-    }
-    count_ones(&visited) == nodes.len()
 }
 
 /// Whether the node slots in `s.work` are weakly connected via distance-0
@@ -684,44 +448,7 @@ fn weakly_connected_in(dfg: &Dfg, s: &mut LegalityScratch) -> bool {
 /// row-assignable, within the IO budget, convex, and recurrence-safe.
 #[must_use]
 pub fn is_legal_group(dfg: &Dfg, spec: &CcaSpec, group: &[OpId], cond: &Condensation) -> bool {
-    if data_oriented_enabled() {
-        is_legal_group_in(dfg, spec, group, cond, &mut LegalityScratch::new())
-    } else {
-        is_legal_group_reference(dfg, spec, group, cond)
-    }
-}
-
-/// Allocation-per-call [`is_legal_group`], retained as the reference.
-#[must_use]
-pub fn is_legal_group_reference(
-    dfg: &Dfg,
-    spec: &CcaSpec,
-    group: &[OpId],
-    cond: &Condensation,
-) -> bool {
-    if group.is_empty() {
-        return false;
-    }
-    for &m in group {
-        let ok = dfg
-            .node(m)
-            .opcode()
-            .is_some_and(|op| op.cca_supported() && !dfg.node(m).is_dead());
-        if !ok {
-            return false;
-        }
-    }
-    let io = group_io_reference(dfg, group);
-    if io.inputs > spec.inputs || io.outputs > spec.outputs {
-        return false;
-    }
-    if assign_rows_reference(dfg, spec, group).is_none() {
-        return false;
-    }
-    if !is_convex_reference(cond, group) {
-        return false;
-    }
-    recurrences_ok_reference(dfg, spec, group, cond)
+    is_legal_group_in(dfg, spec, group, cond, &mut LegalityScratch::new())
 }
 
 /// [`is_legal_group`] over a caller-owned scratch: the mapper's inner loop
@@ -1211,7 +938,7 @@ impl Drop for CollapseProbe<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veal_ir::{set_data_oriented, DfgBuilder, Opcode};
+    use veal_ir::{DfgBuilder, Opcode};
 
     #[test]
     fn io_counts_distinct_producers() {
@@ -1365,10 +1092,15 @@ mod tests {
         ));
     }
 
-    /// Fast and reference paths agree on a mixed bag of random groups.
+    /// Verdicts, I/O counts and row assignments on a mixed bag of random
+    /// groups, folded into a digest recorded when each of these kernels
+    /// still had a pre-optimisation twin (and checked equal under both).
+    /// The allocating entry points must agree with the scratch-threaded
+    /// ones on every group.
     #[test]
-    fn fast_and_reference_paths_agree() {
+    fn legality_verdicts_match_recorded_digest() {
         let mut rng = veal_ir::rng::Rng64::new(0xCCA);
+        let mut h = veal_ir::rng::Fnv64::new();
         for _ in 0..60 {
             let mut b = DfgBuilder::new();
             let mut vals = vec![b.live_in()];
@@ -1403,24 +1135,32 @@ mod tests {
                     vals.iter().copied().filter(|_| rng.gen_bool(0.4)).collect();
                 group.sort();
                 group.dedup();
-                let fast = is_legal_group_in(&dfg, &spec, &group, &cond, &mut s);
-                let prev = set_data_oriented(false);
-                let slow = is_legal_group(&dfg, &spec, &group, &cond);
-                set_data_oriented(prev);
-                assert_eq!(fast, slow, "verdict mismatch on group {group:?}");
+                let legal = is_legal_group(&dfg, &spec, &group, &cond);
                 assert_eq!(
-                    group_io_in(&dfg, &group, &mut s),
-                    group_io_reference(&dfg, &group)
+                    is_legal_group_in(&dfg, &spec, &group, &cond, &mut s),
+                    legal,
+                    "verdict mismatch on group {group:?}"
                 );
-                // `assign_rows` is only defined over op members (both
-                // implementations unwrap the opcode).
+                let io = group_io(&dfg, &group);
+                assert_eq!(group_io_in(&dfg, &group, &mut s), io);
+                h.write_u8(u8::from(legal));
+                h.write_u64(io.inputs as u64);
+                h.write_u64(io.outputs as u64);
+                h.write_u8(u8::from(is_convex(&cond, &group)));
+                h.write_u8(u8::from(recurrences_ok(&dfg, &spec, &group, &cond)));
+                // `assign_rows` is only defined over op members (it
+                // unwraps the opcode).
                 if group.iter().all(|&m| dfg.node(m).opcode().is_some()) {
-                    assert_eq!(
-                        assign_rows_in(&dfg, &spec, &group, &mut s),
-                        assign_rows_reference(&dfg, &spec, &group)
-                    );
+                    let rows = assign_rows(&dfg, &spec, &group);
+                    assert_eq!(assign_rows_in(&dfg, &spec, &group, &mut s), rows);
+                    h.write_str(&format!("{rows:?}"));
                 }
             }
         }
+        let (got, want) = (h.finish(), 0xab0d_0937_e974_cf81);
+        assert_eq!(
+            got, want,
+            "legality digest {got:#018x}, recorded {want:#018x}"
+        );
     }
 }

@@ -39,8 +39,8 @@ pub mod optimal;
 pub mod spec;
 
 pub use legality::{
-    group_io, is_legal_group, is_legal_group_in, is_legal_group_reference, CollapseProbe, GroupIo,
-    LegalityScratch, RowAssignment,
+    group_io, is_legal_group, is_legal_group_in, CollapseProbe, GroupIo, LegalityScratch,
+    RowAssignment,
 };
 pub use mapper::{identify_groups, map_cca, CcaGroup};
 pub use optimal::{coverage, optimal_groups};

@@ -1,19 +1,13 @@
 //! The greedy seed-and-grow CCA subgraph mapper (paper §4.1).
 //!
-//! Like the legality layer, the mapper has a reference implementation
-//! (`HashSet` taken-set, clone-and-sort growth trials — the pre-sweep
-//! code) and a data-oriented one (bitset taken-set, binary-search
-//! membership, one [`LegalityScratch`] threaded through every trial),
-//! selected by [`veal_ir::data_oriented_enabled`]. Both walk candidates in
-//! the same order and charge the [`CostMeter`] at the same sites, so the
-//! groups *and* the phase breakdown are identical.
+//! The walk allocates nothing in steady state: the taken set is a `u64`
+//! bitset from the arena pool, the current group stays sorted so
+//! membership is a binary search, growth trials reuse one buffer, and one
+//! [`LegalityScratch`] is threaded through every legality query.
 
-use crate::legality::{
-    is_legal_group, is_legal_group_in, is_legal_group_reference, CollapseProbe, LegalityScratch,
-};
+use crate::legality::{is_legal_group_in, CollapseProbe, LegalityScratch};
 use crate::spec::CcaSpec;
-use std::collections::HashSet;
-use veal_ir::{data_oriented_enabled, with_arena, CostMeter, Dfg, OpId, Opcode, Phase};
+use veal_ir::{with_arena, CostMeter, Dfg, OpId, Opcode, Phase};
 
 /// One committed CCA subgraph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,104 +33,6 @@ pub struct CcaGroup {
 /// discarded (a single-op "group" gains nothing).
 #[must_use]
 pub fn identify_groups(dfg: &Dfg, spec: &CcaSpec, meter: &mut CostMeter) -> Vec<CcaGroup> {
-    if data_oriented_enabled() {
-        identify_groups_fast(dfg, spec, meter)
-    } else {
-        identify_groups_reference(dfg, spec, meter)
-    }
-}
-
-/// The pre-sweep mapper, retained as the reference implementation.
-#[must_use]
-pub fn identify_groups_reference(
-    dfg: &Dfg,
-    spec: &CcaSpec,
-    meter: &mut CostMeter,
-) -> Vec<CcaGroup> {
-    let cond = dfg.condensation();
-    meter.charge(Phase::CcaMapping, (dfg.len() as u64) * 10);
-    let mut taken: HashSet<OpId> = HashSet::new();
-    let mut groups = Vec::new();
-
-    let mut seeds: Vec<OpId> = dfg
-        .schedulable_ops()
-        .filter(|&id| dfg.node(id).opcode().is_some_and(|op| op.cca_supported()))
-        .collect();
-    seeds.sort();
-
-    for seed in seeds {
-        if taken.contains(&seed) {
-            continue;
-        }
-        meter.charge(Phase::CcaMapping, 4);
-        let mut group = vec![seed];
-        if !is_legal_group_reference(dfg, spec, &group, &cond) {
-            // A seed alone can be illegal only through the recurrence rule;
-            // try pairing it with a same-recurrence neighbour below anyway.
-            meter.charge(Phase::CcaMapping, group.len() as u64);
-        }
-        // Grow until no candidate can be admitted.
-        loop {
-            let mut candidates: Vec<OpId> = Vec::new();
-            for &m in &group {
-                for e in dfg.pred_edges(m).chain(dfg.succ_edges(m)) {
-                    let n = if e.src == m { e.dst } else { e.src };
-                    meter.charge(Phase::CcaMapping, 2);
-                    if taken.contains(&n)
-                        || group.contains(&n)
-                        || !dfg.node(n).opcode().is_some_and(|op| op.cca_supported())
-                    {
-                        continue;
-                    }
-                    if !candidates.contains(&n) {
-                        candidates.push(n);
-                    }
-                }
-            }
-            candidates.sort();
-            let mut grew = false;
-            for c in candidates {
-                let mut trial = group.clone();
-                trial.push(c);
-                trial.sort();
-                // A legality trial runs IO counting, row assignment, a
-                // convexity BFS, and the recurrence rule — several dozen
-                // instructions per member.
-                meter.charge(Phase::CcaMapping, 100 + (trial.len() as u64) * 80);
-                if is_legal_group_reference(dfg, spec, &trial, &cond)
-                    || provisional_ok_reference(dfg, spec, &trial, &cond)
-                {
-                    group = trial;
-                    grew = true;
-                    break;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        group.sort();
-        // Commit only groups that are legal as a whole and large enough to
-        // pay off.
-        if group.len() >= 2 && is_legal_group_reference(dfg, spec, &group, &cond) {
-            for &m in &group {
-                taken.insert(m);
-            }
-            groups.push(CcaGroup {
-                node: None,
-                members: group,
-            });
-        }
-    }
-    groups
-}
-
-/// The data-oriented mapper: same walk, same charges, zero steady-state
-/// allocation. The taken set is a `u64` bitset from the arena pool, the
-/// current group stays sorted so membership is a binary search, growth
-/// trials reuse one buffer (sorted insertion instead of clone-and-sort),
-/// and every legality query runs through one [`LegalityScratch`].
-fn identify_groups_fast(dfg: &Dfg, spec: &CcaSpec, meter: &mut CostMeter) -> Vec<CcaGroup> {
     let cond = dfg.condensation();
     meter.charge(Phase::CcaMapping, (dfg.len() as u64) * 10);
     let adj = dfg.adjacency();
@@ -151,8 +47,8 @@ fn identify_groups_fast(dfg: &Dfg, spec: &CcaSpec, meter: &mut CostMeter) -> Vec
     let mut candidates: Vec<OpId> = Vec::new();
     let mut trial: Vec<OpId> = Vec::new();
 
-    // `opcs` is NO_OP for pseudo and dead slots, so the non-NO_OP slots in
-    // ascending id order are exactly the reference's sorted seed list.
+    // `opcs` is NO_OP for pseudo and dead slots, so the supported slots in
+    // ascending id order are the seeds, in numerical order.
     for i in 0..opcs.len() {
         let supported = Opcode::decode(opcs[i]).is_some_and(|op| op.cca_supported());
         if !supported {
@@ -200,7 +96,7 @@ fn identify_groups_fast(dfg: &Dfg, spec: &CcaSpec, meter: &mut CostMeter) -> Vec
                 trial.insert(at, c);
                 meter.charge(Phase::CcaMapping, 100 + (trial.len() as u64) * 80);
                 if is_legal_group_in(dfg, spec, &trial, &cond, &mut s)
-                    || provisional_ok_fast(dfg, spec, &trial, &cond, &mut s)
+                    || provisional_ok(dfg, spec, &trial, &cond, &mut s)
                 {
                     std::mem::swap(&mut group, &mut trial);
                     grew = true;
@@ -228,43 +124,7 @@ fn identify_groups_fast(dfg: &Dfg, spec: &CcaSpec, meter: &mut CostMeter) -> Vec
 /// During growth a group may transiently violate only the recurrence rule
 /// (e.g. the seed itself lies on a recurrence and its partner has not been
 /// admitted yet). Such a group may keep growing; commit re-checks strictly.
-fn provisional_ok_reference(
-    dfg: &Dfg,
-    spec: &CcaSpec,
-    group: &[OpId],
-    cond: &veal_ir::Condensation,
-) -> bool {
-    use crate::legality::{assign_rows_reference, group_io_reference, is_convex_reference};
-    let io = group_io_reference(dfg, group);
-    if io.inputs > spec.inputs || io.outputs > spec.outputs {
-        return false;
-    }
-    if assign_rows_reference(dfg, spec, group).is_none() || !is_convex_reference(cond, group) {
-        return false;
-    }
-    // Relaxed recurrence rule: every cyclic SCC present in the group must
-    // still have an admissible ungrouped neighbour that could complete it.
-    let set: HashSet<OpId> = group.iter().copied().collect();
-    for (ci, scc) in cond.comps().iter().enumerate() {
-        if !cond.is_cyclic(ci) {
-            continue;
-        }
-        let inside = scc.iter().filter(|m| set.contains(m)).count();
-        if inside == 0 || inside as u32 >= spec.latency {
-            continue;
-        }
-        let completable = scc.iter().any(|&m| {
-            !set.contains(&m) && dfg.node(m).opcode().is_some_and(|op| op.cca_supported())
-        });
-        if !completable {
-            return false;
-        }
-    }
-    true
-}
-
-/// [`provisional_ok_reference`] over the scratch and the flat opcode array.
-fn provisional_ok_fast(
+fn provisional_ok(
     dfg: &Dfg,
     spec: &CcaSpec,
     group: &[OpId],
@@ -314,25 +174,9 @@ pub fn map_cca(dfg: &mut Dfg, spec: &CcaSpec, meter: &mut CostMeter) -> Vec<CcaG
     // Groups were identified against the original graph; two groups that
     // feed each other would deadlock as atomic units, so re-validate each
     // against the evolving graph (earlier collapses are single nodes now)
-    // and skip any that became illegal. The fast path asks each question
-    // of a `CollapseProbe` and applies the survivors in one pass; the
-    // reference path collapses group by group and rebuilds the
-    // condensation for every check. Verdicts are identical.
+    // and skip any that became illegal. Each question goes to a
+    // `CollapseProbe`, and the survivors are applied in one pass.
     let mut committed = Vec::new();
-    if !data_oriented_enabled() {
-        for g in groups {
-            meter.charge(Phase::CcaMapping, 20 + (g.members.len() as u64) * 12);
-            let cond = dfg.condensation();
-            if is_legal_group(dfg, spec, &g.members, &cond) {
-                let node = dfg.collapse(&g.members);
-                committed.push(CcaGroup {
-                    node: Some(node),
-                    members: g.members,
-                });
-            }
-        }
-        return committed;
-    }
     let mut probe = CollapseProbe::new(dfg);
     for g in groups {
         meter.charge(Phase::CcaMapping, 20 + (g.members.len() as u64) * 12);
@@ -352,7 +196,7 @@ pub fn map_cca(dfg: &mut Dfg, spec: &CcaSpec, meter: &mut CostMeter) -> Vec<CcaG
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veal_ir::{set_data_oriented, verify_dfg, DfgBuilder, Opcode};
+    use veal_ir::{verify_dfg, DfgBuilder, Opcode};
 
     #[test]
     fn maps_simple_logic_chain() {
@@ -478,11 +322,25 @@ mod tests {
         assert!(narrow.is_empty() || narrow[0].members.len() <= 2);
     }
 
-    /// Fast and reference mappers agree on groups *and* on meter charges
-    /// over a random corpus.
+    /// Groups, committed graph *and* meter charges over a random corpus,
+    /// folded into a digest recorded when the mapper still had a
+    /// pre-optimisation twin (and checked equal under both).
     #[test]
-    fn fast_and_reference_mappers_agree() {
+    fn mapper_groups_and_charges_match_recorded_digest() {
         let mut rng = veal_ir::rng::Rng64::new(0x5EED);
+        let mut h = veal_ir::rng::Fnv64::new();
+        let fold = |h: &mut veal_ir::rng::Fnv64, groups: &[CcaGroup], m: &CostMeter| {
+            for g in groups {
+                h.write_u64(g.node.map_or(u64::MAX, |n| n.index() as u64));
+                h.write_u64(g.members.len() as u64);
+                for v in &g.members {
+                    h.write_u64(v.index() as u64);
+                }
+            }
+            for &p in veal_ir::meter::ALL_PHASES {
+                h.write_u64(m.breakdown().get(p));
+            }
+        };
         let ops = [
             Opcode::And,
             Opcode::Or,
@@ -511,15 +369,19 @@ mod tests {
             let dfg = b.finish();
             let spec = CcaSpec::paper();
 
-            let mut m_fast = CostMeter::new();
-            let fast = identify_groups(&dfg, &spec, &mut m_fast);
-            let prev = set_data_oriented(false);
-            let mut m_ref = CostMeter::new();
-            let reference = identify_groups(&dfg, &spec, &mut m_ref);
-            set_data_oriented(prev);
-
-            assert_eq!(fast, reference);
-            assert_eq!(m_fast.breakdown(), m_ref.breakdown());
+            let mut m = CostMeter::new();
+            let groups = identify_groups(&dfg, &spec, &mut m);
+            fold(&mut h, &groups, &m);
+            let mut m = CostMeter::new();
+            let mut mapped = dfg.clone();
+            let groups = map_cca(&mut mapped, &spec, &mut m);
+            fold(&mut h, &groups, &m);
+            h.write_u64(mapped.content_hash());
         }
+        let (got, want) = (h.finish(), 0x0296_33ea_a444_e796);
+        assert_eq!(
+            got, want,
+            "mapper digest {got:#018x}, recorded {want:#018x}"
+        );
     }
 }

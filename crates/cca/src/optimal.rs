@@ -8,10 +8,10 @@
 //! (`veal-bench --bin ablation`) and the property tests use it to bound
 //! the greedy mapper's loss.
 
-use crate::legality::{is_legal_group_in, is_legal_group_reference, LegalityScratch};
+use crate::legality::{is_legal_group_in, LegalityScratch};
 use crate::mapper::CcaGroup;
 use crate::spec::CcaSpec;
-use veal_ir::{data_oriented_enabled, CostMeter, Dfg, OpId, Phase};
+use veal_ir::{CostMeter, Dfg, OpId, Phase};
 
 /// Upper bound on CCA-supported candidate ops before [`optimal_groups`]
 /// refuses to run (the search is exponential).
@@ -45,71 +45,53 @@ pub fn optimal_groups(dfg: &Dfg, spec: &CcaSpec, meter: &mut CostMeter) -> Optio
     let n = candidates.len();
     let mut legal: Vec<(u32, Vec<OpId>)> = Vec::new();
     // One member buffer reused across all 2^n masks: the common case
-    // (illegal subset) allocates nothing, and the charge is read off the
-    // mask's popcount (identical to the old per-member count) before any
-    // materialization happens.
+    // (illegal subset) allocates nothing, and the charge (four units per
+    // member) is read off the mask's popcount before any materialization
+    // happens.
     let mut members: Vec<OpId> = Vec::with_capacity(n);
-    if data_oriented_enabled() {
-        // Word-parallel recurrence prefilter: project each cyclic SCC onto
-        // candidate-index bit positions. `recurrences_ok` rejects any group
-        // holding more than zero but fewer than `latency` ops of a cyclic
-        // SCC, so a subset mask failing that popcount test is illegal no
-        // matter what the other checks say — skip it with two ALU ops
-        // instead of a full legality run. (The converse is not prunable:
-        // convexity is not monotone, so only this rule is applied.)
-        let mut scc_masks: Vec<u32> = Vec::new();
-        for (ci, scc) in cond.comps().iter().enumerate() {
-            if !cond.is_cyclic(ci) {
-                continue;
-            }
-            let mut m = 0u32;
-            for (i, c) in candidates.iter().enumerate() {
-                if scc.binary_search(c).is_ok() {
-                    m |= 1 << i;
-                }
-            }
-            if m != 0 {
-                scc_masks.push(m);
+    // Word-parallel recurrence prefilter: project each cyclic SCC onto
+    // candidate-index bit positions. `recurrences_ok` rejects any group
+    // holding more than zero but fewer than `latency` ops of a cyclic
+    // SCC, so a subset mask failing that popcount test is illegal no
+    // matter what the other checks say — skip it with two ALU ops
+    // instead of a full legality run. (The converse is not prunable:
+    // convexity is not monotone, so only this rule is applied.)
+    let mut scc_masks: Vec<u32> = Vec::new();
+    for (ci, scc) in cond.comps().iter().enumerate() {
+        if !cond.is_cyclic(ci) {
+            continue;
+        }
+        let mut m = 0u32;
+        for (i, c) in candidates.iter().enumerate() {
+            if scc.binary_search(c).is_ok() {
+                m |= 1 << i;
             }
         }
-        let mut s = LegalityScratch::new();
-        for mask in 1u32..(1 << n) {
-            if mask.count_ones() < 2 {
-                continue;
-            }
-            meter.charge(Phase::CcaMapping, u64::from(mask.count_ones()) * 4);
-            let doomed = scc_masks.iter().any(|&sm| {
-                let inside = (mask & sm).count_ones();
-                inside > 0 && inside < spec.latency
-            });
-            if doomed {
-                continue;
-            }
-            members.clear();
-            members.extend(
-                (0..n)
-                    .filter(|&i| mask & (1 << i) != 0)
-                    .map(|i| candidates[i]),
-            );
-            if is_legal_group_in(dfg, spec, &members, &cond, &mut s) {
-                legal.push((mask, members.clone()));
-            }
+        if m != 0 {
+            scc_masks.push(m);
         }
-    } else {
-        for mask in 1u32..(1 << n) {
-            if mask.count_ones() < 2 {
-                continue;
-            }
-            meter.charge(Phase::CcaMapping, u64::from(mask.count_ones()) * 4);
-            members.clear();
-            members.extend(
-                (0..n)
-                    .filter(|&i| mask & (1 << i) != 0)
-                    .map(|i| candidates[i]),
-            );
-            if is_legal_group_reference(dfg, spec, &members, &cond) {
-                legal.push((mask, members.clone()));
-            }
+    }
+    let mut s = LegalityScratch::new();
+    for mask in 1u32..(1 << n) {
+        if mask.count_ones() < 2 {
+            continue;
+        }
+        meter.charge(Phase::CcaMapping, u64::from(mask.count_ones()) * 4);
+        let doomed = scc_masks.iter().any(|&sm| {
+            let inside = (mask & sm).count_ones();
+            inside > 0 && inside < spec.latency
+        });
+        if doomed {
+            continue;
+        }
+        members.clear();
+        members.extend(
+            (0..n)
+                .filter(|&i| mask & (1 << i) != 0)
+                .map(|i| candidates[i]),
+        );
+        if is_legal_group_in(dfg, spec, &members, &cond, &mut s) {
+            legal.push((mask, members.clone()));
         }
     }
 
@@ -225,12 +207,14 @@ mod tests {
         assert!(optimal_groups(&dfg, &CcaSpec::paper(), &mut CostMeter::new()).is_none());
     }
 
-    /// The prefiltered fast enumeration returns the same optimum (and the
-    /// same meter charges) as the reference enumeration.
+    /// The recurrence prefilter keeps the optimum and the charges of the
+    /// unfiltered enumeration: both are folded into a digest recorded when
+    /// that enumeration was still in the tree (and checked equal under
+    /// both).
     #[test]
     fn prefilter_preserves_optimum_and_charges() {
-        use veal_ir::set_data_oriented;
         let mut rng = veal_ir::rng::Rng64::new(0x0917);
+        let mut h = veal_ir::rng::Fnv64::new();
         let ops = [
             Opcode::And,
             Opcode::Or,
@@ -255,18 +239,24 @@ mod tests {
             let last = *vals.last().unwrap();
             b.mark_live_out(last);
             let dfg = b.finish();
-            let spec = CcaSpec::paper();
 
-            let mut m_fast = CostMeter::new();
-            let fast = optimal_groups(&dfg, &spec, &mut m_fast);
-            let prev = set_data_oriented(false);
-            let mut m_ref = CostMeter::new();
-            let reference = optimal_groups(&dfg, &spec, &mut m_ref);
-            set_data_oriented(prev);
-
-            assert_eq!(fast, reference);
-            assert_eq!(m_fast.breakdown(), m_ref.breakdown());
+            let mut m = CostMeter::new();
+            let groups = optimal_groups(&dfg, &CcaSpec::paper(), &mut m).unwrap();
+            for g in &groups {
+                h.write_u64(g.members.len() as u64);
+                for v in &g.members {
+                    h.write_u64(v.index() as u64);
+                }
+            }
+            for &p in veal_ir::meter::ALL_PHASES {
+                h.write_u64(m.breakdown().get(p));
+            }
         }
+        let (got, want) = (h.finish(), 0x0a8a_28a2_30ad_cffa);
+        assert_eq!(
+            got, want,
+            "optimum digest {got:#018x}, recorded {want:#018x}"
+        );
     }
 
     #[test]

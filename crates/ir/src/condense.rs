@@ -136,14 +136,13 @@ pub struct Condensation {
     cyclic: Vec<bool>,
     /// The closure, once someone has asked for it (see `reach0_src`).
     reach0: std::sync::OnceLock<BitMatrix>,
-    /// On the data-oriented path the n×n closure is computed *lazily*:
-    /// only CCA convexity reads it, so graphs that go straight to the
-    /// scheduler (every post-mapping graph) never pay the O(n²) sweep.
-    /// The build captures a compact CSR snapshot of the live distance-0
-    /// successor lists instead — the condensation must stay valid even
-    /// after the graph mutates, so it cannot reach back into the `Dfg`.
-    /// `None` means the closure was computed eagerly (reference path).
-    reach0_src: Option<Reach0Source>,
+    /// The n×n closure is computed *lazily*: only CCA convexity reads it,
+    /// so graphs that go straight to the scheduler (every post-mapping
+    /// graph) never pay the O(n²) sweep. The build captures a compact CSR
+    /// snapshot of the live distance-0 successor lists instead — the
+    /// condensation must stay valid even after the graph mutates, so it
+    /// cannot reach back into the `Dfg`.
+    reach0_src: Reach0Source,
     topo0: Option<Vec<OpId>>,
 }
 
@@ -165,8 +164,8 @@ impl Clone for Condensation {
 
 impl PartialEq for Condensation {
     /// Equality over the *semantic* fields; comparing forces the closure
-    /// on both sides, so a lazy and an eager condensation of the same
-    /// graph compare equal.
+    /// on both sides, so a condensation that has computed its closure and
+    /// one that has not compare equal.
     fn eq(&self, other: &Self) -> bool {
         self.comp_of == other.comp_of
             && self.comps == other.comps
@@ -236,11 +235,11 @@ impl Reach0Source {
         &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
-    /// The same closure [`reach0_closure_fast`] computes, from the
-    /// snapshot: one reverse-topological OR sweep, or per-node BFS when
-    /// the distance-0 subgraph was cyclic. Bit-for-bit identical rows —
-    /// OR is commutative, so sweep order only affects how the bits
-    /// arrive, not where they land.
+    /// The reflexive-transitive closure over distance-0 edges, from the
+    /// snapshot. The distance-0 subgraph of a well-formed loop body is
+    /// acyclic, so one reverse-topological OR sweep suffices; ill-formed
+    /// bodies (intra-iteration cycles) fall back to per-node BFS, which is
+    /// correct regardless.
     fn compute(&self, topo0: Option<&[OpId]>, comp_of: &[u32]) -> BitMatrix {
         let mut m = BitMatrix::new(self.n);
         match topo0 {
@@ -286,49 +285,12 @@ impl Condensation {
     /// Builds the condensation of `dfg`. Prefer the cached
     /// [`Dfg::condensation`](crate::Dfg::condensation) accessor.
     ///
-    /// Dispatches between the data-oriented builder (CSR adjacency walks,
-    /// pooled scratch, no per-node allocation) and the retained reference
-    /// builder on [`crate::tuning::data_oriented_enabled`]; both produce
-    /// identical values, field for field.
+    /// Three passes over the graph's CSR [`crate::dfg::Adjacency`] with
+    /// [`DfgArena`]-pooled scratch: Tarjan, the cyclic flags, and the
+    /// distance-0 topological order; the closure is deferred.
     #[must_use]
     pub fn build(dfg: &Dfg) -> Self {
-        if crate::tuning::data_oriented_enabled() {
-            Self::build_fast(dfg)
-        } else {
-            Self::build_reference(dfg)
-        }
-    }
-
-    /// The original builder, retained verbatim as the reference
-    /// implementation: iterator-based Tarjan (`nth` skip per DFS step) and
-    /// a reach0 sweep that collects each node's successor list.
-    #[must_use]
-    pub fn build_reference(dfg: &Dfg) -> Self {
-        let (comps, comp_of) = tarjan_reference(dfg);
-        let cyclic = comps
-            .iter()
-            .map(|c| c.len() > 1 || dfg.succ_edges(c[0]).any(|e| e.dst == c[0]))
-            .collect();
-        let topo0 = dfg.topo_order().ok();
-        // The reference path computes the closure eagerly, as it always
-        // did; only the data-oriented build defers it.
-        let reach0 = std::sync::OnceLock::from(reach0_closure_reference(dfg, topo0.as_deref()));
-        Condensation {
-            comp_of,
-            comps,
-            cyclic,
-            reach0,
-            reach0_src: None,
-            topo0,
-        }
-    }
-
-    /// The data-oriented builder: the same three passes running on the
-    /// graph's CSR [`crate::dfg::Adjacency`] with [`DfgArena`]-pooled
-    /// scratch.
-    #[must_use]
-    pub fn build_fast(dfg: &Dfg) -> Self {
-        let (comps, comp_of) = with_arena(|a| tarjan_fast(dfg, a));
+        let (comps, comp_of) = with_arena(|a| tarjan(dfg, a));
         let adj = dfg.adjacency();
         let edges = dfg.edges();
         let cyclic = comps
@@ -347,7 +309,7 @@ impl Condensation {
             comps,
             cyclic,
             reach0: std::sync::OnceLock::new(),
-            reach0_src: Some(Reach0Source::capture(dfg)),
+            reach0_src: Reach0Source::capture(dfg),
             topo0,
         }
     }
@@ -411,18 +373,14 @@ impl Condensation {
         self.reach0().row(id.index())
     }
 
-    /// The full distance-0 reachability closure. On the data-oriented
-    /// path the first call computes it from the captured successor
-    /// snapshot; subsequent calls (and all reference-path calls) return
-    /// the stored matrix.
+    /// The full distance-0 reachability closure. The first call computes
+    /// it from the captured successor snapshot; later calls return the
+    /// stored matrix.
     #[must_use]
     pub fn reach0(&self) -> &BitMatrix {
         self.reach0.get_or_init(|| {
-            let src = self
-                .reach0_src
-                .as_ref()
-                .expect("empty closure cell implies a captured source");
-            src.compute(self.topo0.as_deref(), &self.comp_of)
+            self.reach0_src
+                .compute(self.topo0.as_deref(), &self.comp_of)
         })
     }
 }
@@ -564,86 +522,10 @@ pub fn scc_membership(dfg: &Dfg, comp_of: &mut Vec<u32>, cyclic: &mut Vec<u64>) 
 /// Iterative Tarjan over all edges, excluding dead nodes. Produces the
 /// exact component list [`Dfg::sccs`] has always produced (reverse
 /// topological emission order, members sorted), plus the node→component
-/// map. Reference version: each DFS step restarts the successor iterator
-/// and `nth`-skips to the cursor, quadratic in node degree.
-fn tarjan_reference(dfg: &Dfg) -> (Vec<Vec<OpId>>, Vec<u32>) {
-    const UNVISITED: u32 = u32::MAX;
-    let n = dfg.len();
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut comps: Vec<Vec<OpId>> = Vec::new();
-    let mut comp_of = vec![NO_COMP; n];
-
-    // Explicit DFS state machine: (node, next successor position).
-    let mut call_stack: Vec<(u32, usize)> = Vec::new();
-    for start in 0..n {
-        if dfg.node(OpId::new(start)).is_dead() || index[start] != UNVISITED {
-            continue;
-        }
-        call_stack.push((start as u32, 0));
-        index[start] = next_index;
-        low[start] = next_index;
-        next_index += 1;
-        stack.push(start as u32);
-        on_stack[start] = true;
-
-        while let Some(&mut (v, ref mut pos)) = call_stack.last_mut() {
-            let v_usize = v as usize;
-            let mut advanced = false;
-            if let Some(edge) = dfg.succ_edges(OpId::new(v_usize)).nth(*pos) {
-                *pos += 1;
-                advanced = true;
-                let w = edge.dst.index();
-                if !dfg.node(edge.dst).is_dead() {
-                    if index[w] == UNVISITED {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w as u32);
-                        on_stack[w] = true;
-                        call_stack.push((w as u32, 0));
-                    } else if on_stack[w] {
-                        low[v_usize] = low[v_usize].min(index[w]);
-                    }
-                }
-            }
-            if advanced {
-                continue;
-            }
-            call_stack.pop();
-            if let Some(&mut (parent, _)) = call_stack.last_mut() {
-                let p = parent as usize;
-                low[p] = low[p].min(low[v_usize]);
-            }
-            if low[v_usize] == index[v_usize] {
-                let comp_idx = comps.len() as u32;
-                let mut component = Vec::new();
-                loop {
-                    let w = stack.pop().expect("tarjan stack underflow");
-                    on_stack[w as usize] = false;
-                    comp_of[w as usize] = comp_idx;
-                    component.push(OpId::new(w as usize));
-                    if w == v {
-                        break;
-                    }
-                }
-                component.sort();
-                comps.push(component);
-            }
-        }
-    }
-    (comps, comp_of)
-}
-
-/// Same DFS as [`tarjan_reference`], walking CSR slices with a plain
-/// cursor (O(V + E) total) and keeping every piece of per-node state in
-/// pooled buffers — `on_stack` as bitset words, the explicit call stack as
-/// two parallel `u32` arrays. Visit order, and therefore component
-/// emission order, is identical to the reference.
-fn tarjan_fast(dfg: &Dfg, a: &mut DfgArena) -> (Vec<Vec<OpId>>, Vec<u32>) {
+/// map. The DFS walks CSR slices with a plain cursor (O(V + E) total) and
+/// keeps every piece of per-node state in pooled buffers — `on_stack` as
+/// bitset words, the explicit call stack as two parallel `u32` arrays.
+fn tarjan(dfg: &Dfg, a: &mut DfgArena) -> (Vec<Vec<OpId>>, Vec<u32>) {
     const UNVISITED: u32 = u32::MAX;
     let n = dfg.len();
     let adj = dfg.adjacency();
@@ -727,51 +609,6 @@ fn tarjan_fast(dfg: &Dfg, a: &mut DfgArena) -> (Vec<Vec<OpId>>, Vec<u32>) {
     a.give_u32(cs_node);
     a.give_u32(cs_pos);
     (comps, comp_of)
-}
-
-/// Reflexive-transitive closure over distance-0 edges. The distance-0
-/// subgraph of a well-formed loop body is acyclic, so a single reverse
-/// topological sweep suffices; ill-formed bodies (intra-iteration cycles)
-/// fall back to per-node BFS, which is correct regardless. Reference
-/// version: collects each node's successor list into a fresh `Vec`.
-fn reach0_closure_reference(dfg: &Dfg, topo0: Option<&[OpId]>) -> BitMatrix {
-    let n = dfg.len();
-    let mut m = BitMatrix::new(n);
-    match topo0 {
-        Some(order) => {
-            for &v in order.iter().rev() {
-                m.set(v.index(), v.index());
-                // Collect successor ids first: `or_row_into` needs `&mut m`.
-                let succs: Vec<usize> = dfg
-                    .succ_edges(v)
-                    .filter(|e| e.distance == 0 && !dfg.node(e.dst).is_dead())
-                    .map(|e| e.dst.index())
-                    .collect();
-                for w in succs {
-                    m.or_row_into(w, v.index());
-                }
-            }
-        }
-        None => {
-            let mut queue: Vec<usize> = Vec::new();
-            for v in dfg.live_ids() {
-                let vi = v.index();
-                m.set(vi, vi);
-                queue.clear();
-                queue.push(vi);
-                while let Some(u) = queue.pop() {
-                    for e in dfg.succ_edges(OpId::new(u)) {
-                        let w = e.dst.index();
-                        if e.distance == 0 && !dfg.node(e.dst).is_dead() && !m.get(vi, w) {
-                            m.set(vi, w);
-                            queue.push(w);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    m
 }
 
 #[cfg(test)]

@@ -414,20 +414,6 @@ impl Dfg {
         }))
     }
 
-    /// Re-derives every cached analysis — adjacency, structural
-    /// verification, SCC condensation, content hash — on a copy with cold
-    /// caches, folding the results into one value so none of the work can
-    /// be optimized away. Bench support: `bench_translate` times this
-    /// against the same pass over a [`crate::RefDfg`] to quantify the
-    /// layout change on the DFG/loop-identification phase.
-    #[must_use]
-    pub fn reanalyze(&self) -> u64 {
-        let fresh = Dfg::from_parts(self.nodes.clone(), self.edges.clone());
-        let ok = crate::verify::verify_dfg(&fresh).is_ok();
-        let n_sccs = fresh.sccs().len();
-        fresh.content_hash() ^ u64::from(ok) ^ (n_sccs as u64) << 1
-    }
-
     /// The cached struct-of-arrays view of the graph: CSR adjacency, dead
     /// and schedulable bitsets, and the flat opcode array. Built on first
     /// use from pooled [`DfgArena`] buffers, shared by clones, and
@@ -876,61 +862,57 @@ impl Dfg {
         *self.hash.get_or_init(|| self.content_hash_uncached())
     }
 
+    /// [`Dfg::content_hash`] without the cache.
+    ///
+    /// A tombstone hashes as a bare slot. Nothing downstream reads a dead
+    /// node's kind, stream or flags, and the module format does not keep them
+    /// (it writes one `KIND_DEAD` byte per dead slot), so hashing them would
+    /// give a loop a different memo key after a round trip through the wire
+    /// than in process. The one place a tombstone's opcode still matters is as
+    /// a member of a `Cca` node, so each `Cca` node hashes its members' kinds
+    /// next to their ids: graphs that collapse different ops never share a key.
     fn content_hash_uncached(&self) -> u64 {
-        hash_graph(&self.nodes, &self.edges)
-    }
-}
-
-/// The [`Dfg::content_hash`] of a node/edge table.
-///
-/// A tombstone hashes as a bare slot. Nothing downstream reads a dead
-/// node's kind, stream or flags, and the module format does not keep them
-/// (it writes one `KIND_DEAD` byte per dead slot), so hashing them would
-/// give a loop a different memo key after a round trip through the wire
-/// than in process. The one place a tombstone's opcode still matters is as
-/// a member of a `Cca` node, so each `Cca` node hashes its members' kinds
-/// next to their ids: graphs that collapse different ops never share a key.
-pub(crate) fn hash_graph(nodes: &[DfgNode], edges: &[DfgEdge]) -> u64 {
-    let write_kind = |h: &mut crate::rng::Fnv64, kind: &NodeKind| match kind {
-        NodeKind::Op(op) => {
-            h.write_u8(1);
-            h.write_u64(*op as u64);
-        }
-        NodeKind::LiveIn => h.write_u8(2),
-        NodeKind::Const(v) => {
-            h.write_u8(3);
-            h.write_u64(*v as u64);
-        }
-    };
-    let mut h = crate::rng::Fnv64::new();
-    h.write_u64(nodes.len() as u64);
-    for n in nodes {
-        if n.dead {
-            h.write_u8(0);
-            continue;
-        }
-        write_kind(&mut h, &n.kind);
-        h.write_u64(n.stream.map_or(u64::MAX, u64::from));
-        h.write_u8(u8::from(n.live_out));
-        h.write_u64(n.cca_members.len() as u64);
-        for m in &n.cca_members {
-            h.write_u64(m.index() as u64);
-            if let Some(member) = nodes.get(m.index()) {
-                write_kind(&mut h, &member.kind);
+        let write_kind = |h: &mut crate::rng::Fnv64, kind: &NodeKind| match kind {
+            NodeKind::Op(op) => {
+                h.write_u8(1);
+                h.write_u64(*op as u64);
+            }
+            NodeKind::LiveIn => h.write_u8(2),
+            NodeKind::Const(v) => {
+                h.write_u8(3);
+                h.write_u64(*v as u64);
+            }
+        };
+        let mut h = crate::rng::Fnv64::new();
+        h.write_u64(self.nodes.len() as u64);
+        for n in &self.nodes {
+            if n.dead {
+                h.write_u8(0);
+                continue;
+            }
+            write_kind(&mut h, &n.kind);
+            h.write_u64(n.stream.map_or(u64::MAX, u64::from));
+            h.write_u8(u8::from(n.live_out));
+            h.write_u64(n.cca_members.len() as u64);
+            for m in &n.cca_members {
+                h.write_u64(m.index() as u64);
+                if let Some(member) = self.nodes.get(m.index()) {
+                    write_kind(&mut h, &member.kind);
+                }
             }
         }
+        h.write_u64(self.edges.len() as u64);
+        for e in &self.edges {
+            h.write_u64(e.src.index() as u64);
+            h.write_u64(e.dst.index() as u64);
+            h.write_u64(u64::from(e.distance));
+            h.write_u8(match e.kind {
+                EdgeKind::Data => 0,
+                EdgeKind::Mem => 1,
+            });
+        }
+        h.finish()
     }
-    h.write_u64(edges.len() as u64);
-    for e in edges {
-        h.write_u64(e.src.index() as u64);
-        h.write_u64(e.dst.index() as u64);
-        h.write_u64(u64::from(e.distance));
-        h.write_u8(match e.kind {
-            EdgeKind::Data => 0,
-            EdgeKind::Mem => 1,
-        });
-    }
-    h.finish()
 }
 
 /// Per-function-unit-class operation counts, as used by the ResMII

@@ -42,10 +42,8 @@ pub mod loops;
 pub mod meter;
 pub mod opcode;
 pub mod pretty;
-pub mod refgraph;
 pub mod rng;
 pub mod streams;
-pub mod tuning;
 pub mod types;
 pub mod verify;
 
@@ -60,8 +58,6 @@ pub use interp::{interpret, ExecResult, Inputs, Value};
 pub use loops::{LoopBody, LoopProfile};
 pub use meter::{CostMeter, Phase, PhaseBreakdown};
 pub use opcode::{FuClass, Opcode};
-pub use refgraph::RefDfg;
 pub use streams::{MemStream, StreamDir, StreamSummary};
-pub use tuning::{data_oriented_enabled, set_data_oriented};
 pub use types::{BlockId, FuncId, OpId, VReg};
 pub use verify::{verify_dfg, VerifyError};

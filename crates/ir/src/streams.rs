@@ -181,6 +181,11 @@ fn stride_of(dfg: &Dfg, id: OpId) -> i64 {
 /// ops, built with [`crate::DfgBuilder::load_stream`]) pass through with
 /// their existing stream annotations.
 ///
+/// Classification runs over the flat opcode array of the CSR
+/// [`crate::dfg::Adjacency`] (one byte per node instead of a [`NodeKind`]
+/// dereference), and the output graph is assembled in a single fused pass
+/// — annotate, tombstone, filter — instead of cloning and then rebuilding.
+///
 /// # Errors
 ///
 /// See [`SeparationError`]; any error means the loop executes on the
@@ -220,184 +225,6 @@ fn stride_of(dfg: &Dfg, id: OpId) -> i64 {
 /// assert_eq!(sep.dfg.schedulable_ops().count(), 3); // ld, mul, str
 /// ```
 pub fn separate(dfg: &Dfg, meter: &mut CostMeter) -> Result<SeparatedLoop, SeparationError> {
-    if crate::tuning::data_oriented_enabled() {
-        separate_fast(dfg, meter)
-    } else {
-        separate_reference(dfg, meter)
-    }
-}
-
-/// The original separation pass, retained as the reference
-/// implementation: three iterator walks over the node list plus a
-/// clone-then-`remove_nodes` output construction. Outputs, errors, and
-/// abstract charges are identical to [`separate_fast`].
-fn separate_reference(dfg: &Dfg, meter: &mut CostMeter) -> Result<SeparatedLoop, SeparationError> {
-    // --- 1. Find the loop's control slice. ---------------------------------
-    let mut branches = Vec::new();
-    for id in dfg.schedulable_ops() {
-        meter.charge(Phase::StreamSep, 1);
-        match dfg.node(id).opcode().expect("schedulable op") {
-            Opcode::BrCond | Opcode::Br => branches.push(id),
-            Opcode::Call => return Err(SeparationError::CallInLoop),
-            _ => {}
-        }
-    }
-
-    let mut out = dfg.clone();
-    let mut control_ops = Vec::new();
-
-    if branches.is_empty() {
-        // Pre-separated graph: accept as-is if every memory op already has a
-        // stream; otherwise the address pattern is unanalyzable.
-        if let Some(bad) = dfg.schedulable_ops().find(|&id| {
-            dfg.node(id).opcode().is_some_and(Opcode::is_mem) && dfg.node(id).stream.is_none()
-        }) {
-            return Err(SeparationError::ComplexAddress(bad));
-        }
-        let streams = collect_existing_streams(dfg);
-        return Ok(SeparatedLoop {
-            dfg: out,
-            streams,
-            control_ops: Vec::new(),
-            addr_ops: Vec::new(),
-        });
-    }
-    if branches.len() > 1 {
-        return Err(SeparationError::MultipleBranches);
-    }
-    let branch = branches[0];
-    if dfg.node(branch).opcode() != Some(Opcode::BrCond) {
-        return Err(SeparationError::NoBackBranch);
-    }
-
-    // Follow the backward slice of the branch: BrCond <- Cmp <- induction.
-    let mut cmp = None;
-    for e in dfg.pred_edges(branch) {
-        meter.charge(Phase::StreamSep, 1);
-        let op = dfg.node(e.src).opcode();
-        if matches!(
-            op,
-            Some(Opcode::CmpEq | Opcode::CmpNe | Opcode::CmpLt | Opcode::CmpLe)
-        ) {
-            if cmp.is_some() {
-                return Err(SeparationError::ComplexControl);
-            }
-            cmp = Some(e.src);
-        } else {
-            return Err(SeparationError::ComplexControl);
-        }
-    }
-    let cmp = cmp.ok_or(SeparationError::ComplexControl)?;
-
-    // The compare reads the induction variable and a bound.
-    let mut induction = None;
-    for e in dfg.pred_edges(cmp) {
-        meter.charge(Phase::StreamSep, 1);
-        match &dfg.node(e.src).kind {
-            NodeKind::Const(_) | NodeKind::LiveIn => {}
-            NodeKind::Op(_) if is_addr_generator(dfg, e.src) => {
-                if induction.replace(e.src).is_some() {
-                    return Err(SeparationError::ComplexControl);
-                }
-            }
-            NodeKind::Op(_) => return Err(SeparationError::ComplexControl),
-        }
-    }
-    let induction = induction.ok_or(SeparationError::ComplexControl)?;
-
-    control_ops.push(branch);
-    control_ops.push(cmp);
-    // The induction increment moves to the loop-control hardware only if the
-    // computation does not read it.
-    let induction_feeds_compute = dfg
-        .succ_edges(induction)
-        .any(|e| e.dst != induction && e.dst != cmp);
-    if !induction_feeds_compute {
-        control_ops.push(induction);
-    }
-
-    // --- 2. Identify memory streams. ---------------------------------------
-    let mut streams = Vec::new();
-    let mut addr_ops: Vec<OpId> = Vec::new();
-    for id in dfg.schedulable_ops() {
-        meter.charge(Phase::StreamSep, 1);
-        let Some(op) = dfg.node(id).opcode() else {
-            continue;
-        };
-        if !op.is_mem() {
-            continue;
-        }
-        if dfg.node(id).stream.is_some() {
-            // Already annotated (pre-separated kernels mixed into a full
-            // graph): give the access its own entry in the unified table.
-            let dir = if op == Opcode::Load {
-                StreamDir::Load
-            } else {
-                StreamDir::Store
-            };
-            let idx = streams.len() as u16;
-            streams.push(MemStream {
-                dir,
-                stride: 1,
-                addr_node: id,
-            });
-            out.node_mut(id).stream = Some(idx);
-            continue;
-        }
-        let addr = dfg
-            .pred_edges(id)
-            .map(|e| e.src)
-            .find(|&p| is_addr_generator(dfg, p))
-            .ok_or(SeparationError::ComplexAddress(id))?;
-        meter.charge(Phase::StreamSep, 4);
-        let dir = if op == Opcode::Load {
-            StreamDir::Load
-        } else {
-            StreamDir::Store
-        };
-        let stream_idx = streams.len() as u16;
-        streams.push(MemStream {
-            dir,
-            stride: stride_of(dfg, addr),
-            addr_node: addr,
-        });
-        out.node_mut(id).stream = Some(stream_idx);
-        if !addr_ops.contains(&addr) {
-            addr_ops.push(addr);
-        }
-    }
-
-    // Address generators must only feed memory ports, themselves, or the
-    // control compare; otherwise they are also compute values and must stay.
-    addr_ops.retain(|&a| {
-        dfg.succ_edges(a).all(|e| {
-            e.dst == a || e.dst == cmp || dfg.node(e.dst).opcode().is_some_and(Opcode::is_mem)
-        })
-    });
-
-    // Also strip the address edges feeding memory ops so removed generators
-    // don't leave dangling references, then remove the separated nodes.
-    let mut removed: Vec<OpId> = control_ops.clone();
-    removed.extend(addr_ops.iter().copied());
-    out.remove_nodes(&removed);
-    meter.charge(Phase::StreamSep, removed.len() as u64 * 2);
-
-    Ok(SeparatedLoop {
-        dfg: out,
-        streams,
-        control_ops,
-        addr_ops,
-    })
-}
-
-/// The data-oriented separation pass: classification runs over the flat
-/// opcode array of the CSR [`crate::dfg::Adjacency`] (one byte per node
-/// instead of a [`NodeKind`] dereference), and the output graph is
-/// assembled in a single fused pass — annotate, tombstone, filter —
-/// instead of cloning and then rebuilding. Charge sites mirror
-/// [`separate_reference`] one for one, including on every error path, so
-/// the per-phase breakdown is byte-identical.
-fn separate_fast(dfg: &Dfg, meter: &mut CostMeter) -> Result<SeparatedLoop, SeparationError> {
     let adj = dfg.adjacency();
     let opcs = adj.opcodes();
     let edges = dfg.edges();
@@ -501,8 +328,7 @@ fn separate_fast(dfg: &Dfg, meter: &mut CostMeter) -> Result<SeparatedLoop, Sepa
 
     // --- 2. Identify memory streams. ---------------------------------------
     // The output node table is cloned up front so stream annotations land
-    // directly on it (the reference annotates its cloned graph the same
-    // way); an error return simply drops the clone.
+    // directly on it; an error return simply drops the clone.
     let mut nodes = dfg.nodes.clone();
     let mut streams = Vec::new();
     let mut addr_ops: Vec<OpId> = Vec::new();
@@ -562,8 +388,8 @@ fn separate_fast(dfg: &Dfg, meter: &mut CostMeter) -> Result<SeparatedLoop, Sepa
     });
 
     // Fused output construction: tombstone the separated nodes and
-    // drop/canonicalize their edges in one pass — semantically the
-    // clone + `node_mut` + `remove_nodes` sequence of the reference.
+    // drop/canonicalize their edges in one pass — semantically a clone
+    // followed by `remove_nodes`.
     let mut removed: Vec<OpId> = control_ops.clone();
     removed.extend(addr_ops.iter().copied());
     for &r in &removed {
@@ -577,9 +403,9 @@ fn separate_fast(dfg: &Dfg, meter: &mut CostMeter) -> Result<SeparatedLoop, Sepa
             .filter(|e| !nodes[e.src.index()].dead && !nodes[e.dst.index()].dead),
     );
     // A filtered subset of the canonically sorted input edge array is still
-    // strictly sorted, so the re-sort is skipped exactly as in the
-    // reference's `rebuild_edges_excluding_dead` (which this fused pass
-    // mirrors); only a non-canonical input pays the sort.
+    // strictly sorted, so the re-sort is skipped as in
+    // `rebuild_edges_excluding_dead` (which this fused pass mirrors); only
+    // a non-canonical input pays the sort.
     let key = |e: &crate::dfg::DfgEdge| (e.src, e.dst, e.distance, e.kind as u8);
     if !out_edges.is_sorted_by(|a, b| key(a) < key(b)) {
         Dfg::sort_dedup_edges(&mut out_edges);

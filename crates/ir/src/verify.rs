@@ -3,7 +3,7 @@
 //! Every workload generator and transformation pass runs its output through
 //! [`verify_dfg`]; the property tests fuzz random graphs against it.
 
-use crate::dfg::{Dfg, NodeKind};
+use crate::dfg::Dfg;
 use crate::opcode::Opcode;
 use crate::types::OpId;
 use std::fmt;
@@ -48,6 +48,11 @@ impl std::error::Error for VerifyError {}
 
 /// Checks the structural invariants of a graph.
 ///
+/// Runs over the CSR adjacency: the dead-endpoint edge scan runs only when
+/// the dead bitset has any bit set (decode-time graphs normally have none),
+/// and the per-node checks read CSR offsets instead of constructing
+/// predecessor iterators.
+///
 /// # Errors
 ///
 /// Returns the first [`VerifyError`] found, or `Ok(())` for a well-formed
@@ -63,58 +68,6 @@ impl std::error::Error for VerifyError {}
 /// assert!(verify_dfg(&b.finish()).is_ok());
 /// ```
 pub fn verify_dfg(dfg: &Dfg) -> Result<(), VerifyError> {
-    if crate::tuning::data_oriented_enabled() {
-        verify_dfg_fast(dfg)
-    } else {
-        verify_dfg_reference(dfg)
-    }
-}
-
-/// The original verifier, retained as the reference implementation:
-/// per-edge node dereferences and per-node predecessor iterators.
-///
-/// # Errors
-///
-/// Returns the first [`VerifyError`] found, in the same scan order as
-/// [`verify_dfg`].
-pub fn verify_dfg_reference(dfg: &Dfg) -> Result<(), VerifyError> {
-    for e in dfg.edges() {
-        if dfg.node(e.src).is_dead() || dfg.node(e.dst).is_dead() {
-            return Err(VerifyError::EdgeToDeadNode {
-                src: e.src,
-                dst: e.dst,
-            });
-        }
-    }
-    for id in dfg.live_ids() {
-        let node = dfg.node(id);
-        match &node.kind {
-            NodeKind::LiveIn | NodeKind::Const(_) => {
-                if dfg.pred_edges(id).next().is_some() {
-                    return Err(VerifyError::PseudoNodeHasInputs(id));
-                }
-            }
-            NodeKind::Op(op) => {
-                if op.is_mem() && node.stream.is_none() && dfg.pred_edges(id).next().is_none() {
-                    return Err(VerifyError::DanglingMemoryOp(id));
-                }
-                if *op == Opcode::Cca && node.cca_members.is_empty() {
-                    return Err(VerifyError::EmptyCca(id));
-                }
-            }
-        }
-    }
-    dfg.topo_order().map_err(VerifyError::IntraIterationCycle)?;
-    Ok(())
-}
-
-/// Vectorized verifier over the CSR adjacency: the dead-endpoint edge scan
-/// runs only when the dead bitset has any bit set (decode-time graphs
-/// normally have none, so the whole pass is a handful of word reads), and
-/// the per-node checks read CSR offsets instead of constructing
-/// predecessor iterators. Scan order, and therefore the first error
-/// reported, matches [`verify_dfg_reference`] exactly.
-fn verify_dfg_fast(dfg: &Dfg) -> Result<(), VerifyError> {
     let adj = dfg.adjacency();
     // A dead endpoint requires a dead node; word-parallel gate first.
     if adj.any_dead() {
@@ -156,7 +109,7 @@ fn verify_dfg_fast(dfg: &Dfg) -> Result<(), VerifyError> {
 mod tests {
     use super::*;
     use crate::builder::DfgBuilder;
-    use crate::dfg::EdgeKind;
+    use crate::dfg::{EdgeKind, NodeKind};
 
     #[test]
     fn well_formed_graph_passes() {

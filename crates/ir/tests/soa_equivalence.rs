@@ -3,27 +3,34 @@
 //! The arena-backed CSR [`Dfg`] must be observationally identical to the
 //! straightforward push-built [`RefDfg`] — not just "same answers" but the
 //! same *iteration order* everywhere, because downstream kernels (swing
-//! priority, the greedy CCA mapper) are order-sensitive and the whole
-//! data-oriented sweep is gated on bit-identity with the old arm.
+//! priority, the greedy CCA mapper) are order-sensitive.
 //!
 //! Each seed draws one random well-formed loop body from the in-repo
 //! deterministic [`Rng64`]; failures reproduce by seed with no external
 //! test framework. The corpus checks, per graph:
 //!
 //! - successor/predecessor edge iteration order (exact edge sequences),
-//! - SCC partition and fast-vs-reference [`Condensation`] equality,
+//! - SCC partition against the reference, and the [`Condensation`]
+//!   against a recorded digest,
 //! - the memoized [`Dfg::scc_view`] membership against `sccs()`,
-//! - content hash against the reference fold,
-//! - verifier verdicts under both arms of the data-oriented toggle,
-//! - stream separation outputs *and* per-phase meter charges under both
-//!   arms.
+//! - verifier verdicts against the reference verifier,
+//! - stream separation outputs *and* per-phase meter charges against a
+//!   recorded digest.
+//!
+//! The digests were recorded when the analysis kernels still had a second,
+//! pre-optimisation implementation each, and checked equal under both.
+//! [`Dfg::content_hash`] values are pinned here too, over this corpus and
+//! every raw and legalized suite loop, because memo keys and warm-state
+//! snapshots are keyed by them.
 
+mod refgraph;
+
+use refgraph::RefDfg;
 use veal_ir::dfg::NodeKind;
-use veal_ir::rng::Rng64;
+use veal_ir::meter::ALL_PHASES;
+use veal_ir::rng::{Fnv64, Rng64};
 use veal_ir::streams::separate;
-use veal_ir::{
-    set_data_oriented, verify_dfg, Condensation, CostMeter, Dfg, EdgeKind, OpId, Opcode, RefDfg,
-};
+use veal_ir::{verify_dfg, Condensation, CostMeter, Dfg, EdgeKind, OpId, Opcode};
 
 /// Ops safe for random placement (value-producing, non-control).
 const SAFE_OPS: &[Opcode] = &[
@@ -97,6 +104,14 @@ fn for_each_graph(mut check: impl FnMut(u64, &Dfg)) {
     }
 }
 
+/// Fails with the digest it got, so an intended change can re-record it.
+fn assert_digest(what: &str, got: u64, want: u64) {
+    assert_eq!(
+        got, want,
+        "{what}: digest {got:#018x}, recorded {want:#018x}"
+    );
+}
+
 #[test]
 fn succ_and_pred_iteration_order_matches_reference() {
     for_each_graph(|seed, dfg| {
@@ -115,15 +130,31 @@ fn succ_and_pred_iteration_order_matches_reference() {
 
 #[test]
 fn scc_condensation_matches_reference() {
+    let mut h = Fnv64::new();
     for_each_graph(|seed, dfg| {
         let r = RefDfg::from_dfg(dfg);
         assert_eq!(dfg.sccs(), r.sccs(), "seed {seed}: SCC partition");
-        assert_eq!(
-            Condensation::build_fast(dfg),
-            Condensation::build_reference(dfg),
-            "seed {seed}: condensation"
-        );
+        let c = Condensation::build(dfg);
+        assert_eq!(&c, &*dfg.condensation(), "seed {seed}: cached condensation");
+        for comp in c.comps() {
+            h.write_u64(comp.len() as u64);
+            for v in comp {
+                h.write_u64(v.index() as u64);
+            }
+        }
+        for &cyclic in c.cyclic_flags() {
+            h.write_u8(u8::from(cyclic));
+        }
+        for &v in c.topo0().unwrap_or(&[]) {
+            h.write_u64(v.index() as u64);
+        }
+        for v in dfg.live_ids() {
+            for &w in c.reach0_row(v) {
+                h.write_u64(w);
+            }
+        }
     });
+    assert_digest("condensation", h.finish(), 0x4656_70c7_203f_3b55);
 }
 
 #[test]
@@ -158,55 +189,57 @@ fn scc_view_membership_agrees_with_sccs() {
 }
 
 #[test]
-fn content_hash_matches_reference() {
-    for_each_graph(|seed, dfg| {
-        let r = RefDfg::from_dfg(dfg);
-        assert_eq!(dfg.content_hash(), r.content_hash(), "seed {seed}");
-    });
-}
-
-#[test]
-fn verify_verdict_matches_reference_under_both_arms() {
-    for_each_graph(|seed, dfg| {
-        let r = RefDfg::from_dfg(dfg);
-        let want = r.verify();
-        for arm in [false, true] {
-            set_data_oriented(arm);
-            assert_eq!(verify_dfg(dfg), want, "seed {seed}: arm {arm}");
-        }
-        set_data_oriented(true);
-    });
-}
-
-#[test]
-fn separation_outputs_and_charges_match_across_arms() {
-    for_each_graph(|seed, dfg| {
-        set_data_oriented(false);
-        let mut m_old = CostMeter::new();
-        let old = separate(dfg, &mut m_old);
-        set_data_oriented(true);
-        let mut m_new = CostMeter::new();
-        let new = separate(dfg, &mut m_new);
-        match (&old, &new) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(
-                    a.dfg.content_hash(),
-                    b.dfg.content_hash(),
-                    "seed {seed}: separated graph"
-                );
-                assert_eq!(a.streams, b.streams, "seed {seed}: streams");
-                assert_eq!(a.control_ops, b.control_ops, "seed {seed}: control ops");
-                assert_eq!(a.addr_ops, b.addr_ops, "seed {seed}: addr ops");
+fn content_hashes_are_pinned() {
+    // Memo keys and warm-state snapshots are keyed by content hashes: a
+    // change here invalidates every stored snapshot, so it must come with
+    // a `SNAP_VERSION` bump in veal-vm's snapshot module.
+    let mut h = Fnv64::new();
+    for_each_graph(|_, dfg| h.write_u64(dfg.content_hash()));
+    let limits = veal_opt::TransformLimits::default();
+    for app in veal_workloads::full_suite() {
+        for l in &app.loops {
+            h.write_u64(l.raw.body.dfg.content_hash());
+            for part in veal_opt::legalize(&l.raw, &limits) {
+                h.write_u64(part.body.dfg.content_hash());
             }
-            (Err(a), Err(b)) => assert_eq!(a, b, "seed {seed}: separation error"),
-            _ => panic!("seed {seed}: arms disagree on separability"),
         }
-        assert_eq!(
-            m_old.breakdown(),
-            m_new.breakdown(),
-            "seed {seed}: separation charges"
-        );
+    }
+    assert_eq!(
+        h.finish(),
+        0xae88_6669_1f59_6efa,
+        "content hashes moved (digest {:#018x}): bump SNAP_VERSION in \
+         crates/vm/src/snapshot.rs, then re-record this digest",
+        h.finish()
+    );
+}
+
+#[test]
+fn verify_verdict_matches_reference() {
+    for_each_graph(|seed, dfg| {
+        let r = RefDfg::from_dfg(dfg);
+        assert_eq!(verify_dfg(dfg), r.verify(), "seed {seed}");
     });
+}
+
+#[test]
+fn separation_outputs_and_charges_match_recorded_digest() {
+    let mut h = Fnv64::new();
+    for_each_graph(|_, dfg| {
+        let mut meter = CostMeter::new();
+        match separate(dfg, &mut meter) {
+            Ok(sep) => {
+                h.write_u64(sep.dfg.content_hash());
+                h.write_str(&format!("{:?}", sep.streams));
+                h.write_str(&format!("{:?}", sep.control_ops));
+                h.write_str(&format!("{:?}", sep.addr_ops));
+            }
+            Err(e) => h.write_str(&format!("{e:?}")),
+        }
+        for &p in ALL_PHASES {
+            h.write_u64(meter.breakdown().get(p));
+        }
+    });
+    assert_digest("separation", h.finish(), 0x6c00_98e2_d178_8c48);
 }
 
 #[test]

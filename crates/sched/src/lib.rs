@@ -47,7 +47,6 @@ pub mod mindist;
 pub mod mrt;
 pub mod param;
 pub mod priority;
-pub mod reference;
 pub mod regalloc;
 pub mod scheduler;
 pub mod symbolic;
@@ -55,7 +54,7 @@ pub mod verify;
 
 pub use display::render_mrt;
 pub use mii::{rec_mii, rec_mii_from_frontier, res_mii};
-pub use mindist::{parametric_enabled, set_parametric_enabled, MinDist};
+pub use mindist::MinDist;
 pub use mrt::ModuloReservationTable;
 pub use param::MinDistParam;
 pub use priority::{height_order, swing_order, PriorityKind};

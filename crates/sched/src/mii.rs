@@ -91,20 +91,12 @@ pub fn res_mii(
 /// ```
 #[must_use]
 pub fn rec_mii(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter) -> u32 {
-    // The metered algorithm is unchanged (the VM pays for an SCC pass plus
-    // the per-SCC binary search + Bellman–Ford below — the paper's ~1.25k
-    // instructions); the host merely reads the SCC list and cyclic flags
-    // off the graph's cached condensation instead of re-running Tarjan.
-    if !veal_ir::data_oriented_enabled() {
-        return rec_mii_reference(dfg, lat, meter);
-    }
-    // Only the cyclic SCCs matter, and RecMII is a max over them, so the
-    // full condensation (component lists in reverse-topo order, topo order,
-    // reachability snapshot) is overkill — an SCC membership map suffices.
-    // Each cyclic component's members collect in ascending slot order,
-    // matching the sorted component lists the reference scans, so the
-    // compacted edge lists (and with them every metered relaxation round)
-    // are identical.
+    // The metered algorithm is the VM's: an SCC pass plus the per-SCC
+    // binary search + Bellman–Ford below — the paper's ~1.25k
+    // instructions. Only the cyclic SCCs matter, and RecMII is a max over
+    // them, so the host reads an SCC membership map off the graph instead
+    // of the full condensation. Each cyclic component's members collect in
+    // ascending slot order, the order the relaxation scans them in.
     let adj = dfg.adjacency();
     let edges = dfg.edges();
     meter.charge(Phase::RecMii, dfg.len() as u64);
@@ -135,10 +127,10 @@ pub fn rec_mii(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter) -> u32 {
         }
         let scc = &packed[start..end];
         // Compact the SCC subgraph once — `(src index, dst index, src
-        // latency, distance)` in the exact order the reference relaxation
-        // scans it — so each Bellman–Ford pass below runs over a flat
-        // array instead of re-walking adjacency, re-resolving member
-        // indices, and re-reading latencies per relaxation.
+        // latency, distance)` in SCC member order × successor-edge order —
+        // so each Bellman–Ford pass below runs over a flat array instead
+        // of re-walking adjacency, re-resolving member indices, and
+        // re-reading latencies per relaxation.
         sedges.clear();
         let mut lat_sum = 0u32;
         for (i, &pv) in scc.iter().enumerate() {
@@ -160,7 +152,7 @@ pub fn rec_mii(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter) -> u32 {
         // Binary search the smallest II with no positive cycle in the SCC.
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if has_positive_cycle_fast(&sedges, scc.len(), mid, &mut dist, meter) {
+            if has_positive_cycle(&sedges, scc.len(), mid, &mut dist, meter) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -170,39 +162,6 @@ pub fn rec_mii(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter) -> u32 {
         start = end;
     }
     with_arena(|a| a.give_u64(packed));
-    mii
-}
-
-/// The pre-sweep [`rec_mii`], retained as the reference: every relaxation
-/// re-walks the graph's successor lists and re-resolves SCC indices.
-#[must_use]
-pub fn rec_mii_reference(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter) -> u32 {
-    let cond = dfg.condensation();
-    meter.charge(Phase::RecMii, dfg.len() as u64);
-    let mut mii = 1u32;
-    for (ci, scc) in cond.comps().iter().enumerate() {
-        if !cond.is_cyclic(ci) {
-            continue;
-        }
-        // Upper bound: the sum of latencies around the component.
-        let hi: u32 = scc
-            .iter()
-            .map(|&v| dfg.node(v).opcode().map_or(0, |op| lat.latency(op)))
-            .sum::<u32>()
-            .max(1);
-        let mut lo = 1u32;
-        let mut hi = hi;
-        // Binary search the smallest II with no positive cycle in the SCC.
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if has_positive_cycle(dfg, lat, scc, mid, meter) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        mii = mii.max(lo);
-    }
     mii
 }
 
@@ -220,15 +179,13 @@ pub fn rec_mii_from_frontier(dfg: &Dfg, lat: &LatencyModel) -> u32 {
     crate::param::cached(dfg, lat).rec_mii()
 }
 
-/// [`has_positive_cycle`] over a pre-compacted SCC edge list
-/// `(src index, dst index, src latency, distance)`.
-///
-/// The list is built in the reference's scan order (SCC member order ×
-/// successor-edge insertion order), so relaxations fire in the same order,
-/// `changed` flips on the same rounds, and the early-exit round count —
-/// hence the metered charge total (one unit per in-SCC edge per executed
-/// round, batched here into one call per round) — is identical.
-fn has_positive_cycle_fast(
+/// Bellman–Ford style positive-cycle detection on a pre-compacted SCC edge
+/// list `(src index, dst index, src latency, distance)`, with edge weight
+/// `latency(src) − ii·distance`. One unit is charged per in-SCC edge per
+/// executed round (batched into one call per round); the rounds stop
+/// early once nothing changes, and improvement in round `n` implies a
+/// positive cycle.
+fn has_positive_cycle(
     sedges: &[(u32, u32, i64, i64)],
     n: usize,
     ii: u32,
@@ -246,43 +203,6 @@ fn has_positive_cycle_fast(
             if cand > dist[j as usize] {
                 dist[j as usize] = cand;
                 changed = true;
-            }
-        }
-        if !changed {
-            return false;
-        }
-        if round == n {
-            return true;
-        }
-    }
-    true
-}
-
-/// Bellman–Ford style positive-cycle detection on the SCC subgraph with
-/// edge weight `latency(src) − ii·distance`.
-fn has_positive_cycle(
-    dfg: &Dfg,
-    lat: &LatencyModel,
-    scc: &[OpId],
-    ii: u32,
-    meter: &mut CostMeter,
-) -> bool {
-    let index_of = |id: OpId| scc.binary_search(&id).ok();
-    let n = scc.len();
-    let mut dist = vec![0i64; n];
-    // n relaxation rounds; improvement in round n implies a positive cycle.
-    for round in 0..=n {
-        let mut changed = false;
-        for (i, &v) in scc.iter().enumerate() {
-            let l = i64::from(dfg.node(v).opcode().map_or(0, |op| lat.latency(op)));
-            for e in dfg.succ_edges(v) {
-                let Some(j) = index_of(e.dst) else { continue };
-                meter.charge(Phase::RecMii, 1);
-                let w = l - i64::from(ii) * i64::from(e.distance);
-                if dist[i] + w > dist[j] {
-                    dist[j] = dist[i] + w;
-                    changed = true;
-                }
             }
         }
         if !changed {

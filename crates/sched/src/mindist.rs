@@ -73,25 +73,6 @@ fn pooled_matrix(len: usize) -> Vec<i64> {
     }
 }
 
-thread_local! {
-    static PARAMETRIC: std::cell::Cell<bool> = const { std::cell::Cell::new(true) };
-}
-
-/// Whether [`MinDist::compute`] may answer from the cached II-parametric
-/// structure (the default). Per thread.
-#[must_use]
-pub fn parametric_enabled() -> bool {
-    PARAMETRIC.with(std::cell::Cell::get)
-}
-
-/// Enables/disables the parametric fast path on this thread, returning
-/// the previous setting. Benchmarks and property tests use this to pit
-/// the naive and parametric kernels against each other; results are
-/// bit-identical either way.
-pub fn set_parametric_enabled(on: bool) -> bool {
-    PARAMETRIC.with(|c| c.replace(on))
-}
-
 impl Drop for MinDist {
     fn drop(&mut self) {
         let v = std::mem::take(&mut self.dist);
@@ -115,34 +96,31 @@ impl MinDist {
     /// the values: when `ii` is at or above the graph's RecMII (always
     /// true inside the scheduling pipeline, where `II ≥ max(ResMII,
     /// RecMII)`), the matrix is evaluated in O(n²·k) from the cached
-    /// II-parametric structure ([`crate::MinDistParam`]); otherwise — and
-    /// whenever [`set_parametric_enabled`]`(false)` is in effect — the
-    /// naive kernel runs. Both paths produce bit-identical matrices and
-    /// charges.
+    /// II-parametric structure ([`crate::MinDistParam`]); below RecMII the
+    /// frontiers are not valid and the Floyd–Warshall kernel
+    /// ([`MinDist::compute_naive`]) runs. Both paths produce bit-identical
+    /// matrices and charges.
     #[must_use]
     pub fn compute(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter) -> Self {
-        if parametric_enabled() {
-            let param = crate::param::cached(dfg, lat);
-            if param.valid_at(ii) {
-                let ops = param.ops().to_vec();
-                let n = ops.len();
-                meter.charge(
-                    Phase::Priority,
-                    3 * (n as u64) * (n as u64) * (n as u64) + 1,
-                );
-                // Unreachable pairs keep the pool's NEG_INF prefill.
-                let mut dist = pooled_matrix(n * n);
-                param.eval_into(ii, &mut dist);
-                return MinDist { ops, dist, n };
-            }
+        let param = crate::param::cached(dfg, lat);
+        if param.valid_at(ii) {
+            let ops = param.ops().to_vec();
+            let n = ops.len();
+            meter.charge(
+                Phase::Priority,
+                3 * (n as u64) * (n as u64) * (n as u64) + 1,
+            );
+            // Unreachable pairs keep the pool's NEG_INF prefill.
+            let mut dist = pooled_matrix(n * n);
+            param.eval_into(ii, &mut dist);
+            return MinDist { ops, dist, n };
         }
         Self::compute_naive(dfg, lat, ii, meter)
     }
 
-    /// The original Θ(n³) Floyd–Warshall kernel, retained as the reference
-    /// implementation (property tests and `bench_translate` compare the
-    /// parametric path against it) and as the fallback for `ii` below the
-    /// graph's RecMII.
+    /// The Θ(n³) Floyd–Warshall kernel: the fallback of [`MinDist::compute`]
+    /// for `ii` below the graph's RecMII, and the oracle the property tests
+    /// check the parametric frontiers against.
     #[must_use]
     pub fn compute_naive(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter) -> Self {
         let ops: Vec<OpId> = dfg.schedulable_ops().collect();

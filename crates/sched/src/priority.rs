@@ -191,21 +191,17 @@ fn scc_criticality(md: &SelfDist, scc: &[OpId]) -> i64 {
 /// `ii` is the II the MinDist matrix is computed at (normally the MII).
 #[must_use]
 pub fn swing_order(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter) -> Vec<OpId> {
-    if !veal_ir::data_oriented_enabled() {
-        return crate::reference::swing_order(dfg, lat, ii, meter);
-    }
-    // Same dispatch as `MinDist::compute`, but via the diagonal-only
-    // `SelfDist` view (the ordering never reads off-diagonal cells).
+    // The parametric frontiers at or above RecMII, Floyd–Warshall below
+    // it — the choice `MinDist::compute` makes — but read through the
+    // diagonal-only `SelfDist` view (the ordering never reads off-diagonal
+    // cells).
     let ii = ii.max(1);
-    let md = 'md: {
-        if crate::mindist::parametric_enabled() {
-            let param = crate::param::cached(dfg, lat);
-            if param.valid_at(ii) {
-                let n = param.ops().len() as u64;
-                meter.charge(Phase::Priority, 3 * n * n * n + 1);
-                break 'md SelfDist::Param(param, ii);
-            }
-        }
+    let param = crate::param::cached(dfg, lat);
+    let md = if param.valid_at(ii) {
+        let n = param.ops().len() as u64;
+        meter.charge(Phase::Priority, 3 * n * n * n + 1);
+        SelfDist::Param(param, ii)
+    } else {
         SelfDist::Naive(MinDist::compute_naive(dfg, lat, ii, meter))
     };
     // Depth/height profiles depend only on (dfg, lat), never on II, so the

@@ -26,13 +26,6 @@ pub struct ModuloSchedule {
 }
 
 impl ModuloSchedule {
-    /// Assembles a schedule from dense parts. Used by the retained
-    /// reference scheduler (`crate::reference`) to emit its hash-map state
-    /// in the common representation.
-    pub(crate) fn from_parts(ii: u32, times: Vec<i64>, units: Vec<(ResourceKind, usize)>) -> Self {
-        ModuloSchedule { ii, times, units }
-    }
-
     /// Schedule time of `op`, if it was scheduled.
     #[must_use]
     pub fn time(&self, op: OpId) -> Option<i64> {
@@ -206,9 +199,6 @@ pub fn list_schedule(
     streams: StreamSummary,
     meter: &mut CostMeter,
 ) -> Result<ModuloSchedule, ScheduleError> {
-    if !veal_ir::data_oriented_enabled() {
-        return crate::reference::list_schedule(dfg, config, order, mii, streams, meter);
-    }
     let lat = &config.latencies;
     // Depths depend only on (dfg, lat). Only the Swing ordering builds the
     // II-parametric MinDist structure, which memoizes them; when this
@@ -218,11 +208,7 @@ pub fn list_schedule(
     // frontier just to read depths is the work a priority hint skips.
     // Both sources charge one unit per topo node, and both panic on
     // ill-formed (distance-0 cyclic) bodies exactly as before.
-    let resident = if crate::mindist::parametric_enabled() {
-        crate::param::peek(dfg, lat)
-    } else {
-        None
-    };
+    let resident = crate::param::peek(dfg, lat);
     let owned;
     let d: &[u32] = match resident.as_ref().and_then(|p| p.profiles()) {
         Some((pd, _, topo_len)) => {

@@ -20,7 +20,8 @@
 //! schedule was built against and any configuration with the family's
 //! latency model, `concretize` returns the same `Result` and charges the
 //! same per-phase costs as `modulo_schedule` — asserted by the property
-//! corpus below and the differential arms of `bench_translate`/`bench_dse`.
+//! corpus below, by `bench_translate`'s concretize-vs-translate check and
+//! by `bench_dse`'s serial-vs-sweep check.
 
 use crate::mii::{rec_mii, res_mii};
 use crate::priority::{height_order, swing_order, PriorityKind};

@@ -14,7 +14,7 @@
 //!   modulo scheduler walks the order as-is, so a duplicate would schedule
 //!   an op twice);
 //! * each **CCA group** must be legal on the *current* [`CcaSpec`]
-//!   ([`is_legal_group`]) on the graph the earlier groups' collapses
+//!   ([`veal_cca::is_legal_group`]) on the graph the earlier groups' collapses
 //!   leave, checked through a [`CollapseProbe`] so the real graph is never
 //!   mutated by a hint that later turns out bad.
 //!
@@ -27,9 +27,9 @@
 //! dynamic-phase cost in the Figure 10/11 accounting.
 
 use std::fmt;
-use veal_cca::{is_legal_group, CcaSpec, CollapseProbe};
+use veal_cca::{CcaSpec, CollapseProbe};
 use veal_ir::dfg::Dfg;
-use veal_ir::{data_oriented_enabled, CostMeter, OpId, Phase};
+use veal_ir::{CostMeter, OpId, Phase};
 
 /// Why a hint failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -179,30 +179,20 @@ pub fn verify_and_apply_cca(
 ) -> Result<usize, HintError> {
     // Decoding the procedural abstraction is a linear pass.
     meter.charge(Phase::HintDecode, dfg.len() as u64 + 4);
-    match vet_cca_groups(dfg, spec, groups, meter)? {
-        Some(collapsed) => *dfg = collapsed,
-        None => {
-            dfg.collapse_all(groups.iter().map(Vec::as_slice));
-        }
-    }
+    vet_cca_groups(dfg, spec, groups, meter)?;
+    dfg.collapse_all(groups.iter().map(Vec::as_slice));
     Ok(groups.len())
 }
 
 /// Checks every group of a CCA hint, in order, against the graph the
-/// earlier groups' collapses leave. On success the reference arm returns
-/// the graph it collapsed along the way; the data-oriented arm collapsed
-/// nothing and returns `None`.
+/// earlier groups' collapses leave, without collapsing anything.
 fn vet_cca_groups(
     dfg: &Dfg,
     spec: &CcaSpec,
     groups: &[Vec<OpId>],
     meter: &mut CostMeter,
-) -> Result<Option<Dfg>, HintError> {
-    let mut probe = if data_oriented_enabled() {
-        Probe::Fast(Box::new(CollapseProbe::new(dfg)))
-    } else {
-        Probe::Reference(dfg.clone())
-    };
+) -> Result<(), HintError> {
+    let mut probe = CollapseProbe::new(dfg);
     let mut seen = Vec::new();
     for (gi, g) in groups.iter().enumerate() {
         meter.charge(Phase::HintDecode, g.len() as u64);
@@ -229,50 +219,7 @@ fn vet_cca_groups(
         }
         probe.collapse(g);
     }
-    Ok(match probe {
-        Probe::Fast(_) => None,
-        Probe::Reference(collapsed) => Some(collapsed),
-    })
-}
-
-/// The graph hint groups are checked against: the data-oriented
-/// [`CollapseProbe`], or the retained reference — a real copy collapsed
-/// group by group, its condensation rebuilt for every check.
-enum Probe<'a> {
-    Fast(Box<CollapseProbe<'a>>),
-    Reference(Dfg),
-}
-
-impl Probe<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Probe::Fast(p) => p.len(),
-            Probe::Reference(g) => g.len(),
-        }
-    }
-
-    fn is_schedulable(&self, m: OpId) -> bool {
-        match self {
-            Probe::Fast(p) => p.is_schedulable(m),
-            Probe::Reference(g) => g.node(m).is_schedulable(),
-        }
-    }
-
-    fn is_legal(&mut self, spec: &CcaSpec, group: &[OpId]) -> bool {
-        match self {
-            Probe::Fast(p) => p.is_legal(spec, group),
-            Probe::Reference(g) => is_legal_group(g, spec, group, &g.condensation()),
-        }
-    }
-
-    fn collapse(&mut self, group: &[OpId]) {
-        match self {
-            Probe::Fast(p) => p.collapse(group),
-            Probe::Reference(g) => {
-                g.collapse(group);
-            }
-        }
-    }
+    Ok(())
 }
 
 /// Validates a priority hint: `order` must be an exact permutation of
