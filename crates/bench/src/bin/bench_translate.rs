@@ -204,10 +204,8 @@ struct Replay {
 impl Replay {
     /// Replays every loop of `bodies` phase by phase, asserting each
     /// replay's charges equal a fully dynamic `translate`'s, and keeps each
-    /// phase's best total over `passes` whole passes. A population larger
-    /// than the MinDist cache (64 entries per thread) reaches every loop
-    /// with its frontier evicted, so the priority row includes building
-    /// it, as a first translation does.
+    /// phase's best total over `passes` whole passes. No phase keeps state
+    /// between calls, so every pass times what a first translation does.
     fn run(bodies: &[&LoopBody], translator: &Translator, passes: usize) -> Replay {
         let config = translator.config();
         let spec = CcaSpec::paper();

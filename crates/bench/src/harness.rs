@@ -1,9 +1,9 @@
 //! Minimal wall-clock micro-benchmark harness for the `benches/` targets.
 //!
 //! Each bench target is a plain `fn main()` (`harness = false`) that calls
-//! [`bench`] per case. The harness warms the case up, auto-scales the batch
-//! size to a ~25 ms measurement window, repeats a few batches, and reports
-//! the best (least-noisy) per-iteration time.
+//! [`bench()`] per case. The harness warms the case up, auto-scales the
+//! batch size to a ~25 ms measurement window, repeats a few batches, and
+//! reports the best (least-noisy) per-iteration time.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -12,8 +12,8 @@
 //!   per-instruction payload word (stream cursor, store site, or address
 //!   salt) — no per-iteration allocation, no map lookups;
 //! * **preallocated operand ring**: one flat `depth × slots` bank of
-//!   [`Value`]s, `depth` rounded to a power of two so loop-carried reads
-//!   are a mask instead of a division;
+//!   [`Value`](veal_ir::Value)s, `depth` rounded to a power of two so
+//!   loop-carried reads are a mask instead of a division;
 //! * **stream-engine reads resolved to cursors**: each stream-annotated
 //!   load is bound to a dense input-slice index at compile time;
 //! * a **lane-vectorized mode** ([`ExecutableLoop::run_lanes`]) that maps

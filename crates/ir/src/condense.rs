@@ -8,8 +8,8 @@
 //! full Floyd–Warshall per candidate II. [`Condensation`] computes them
 //! once per graph and [`Dfg::condensation`](crate::Dfg::condensation)
 //! caches the result until the graph is structurally mutated, so the hot
-//! kernels downstream (MinDist, CCA legality, the exhaustive mapper) can
-//! run on dense indices and `u64` bitmask words instead.
+//! kernels downstream (CCA legality, the exhaustive mapper) can run on
+//! dense indices and `u64` bitmask words instead.
 //!
 //! Nothing here is metered: the abstract cost model charges for the
 //! *algorithms the paper's VM runs* (see `veal-ir`'s `meter` module), and

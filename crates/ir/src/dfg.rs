@@ -854,9 +854,9 @@ impl Dfg {
     /// CCA membership (with the members' kinds), and every edge. Equal
     /// graphs hash equal across threads and processes, so the fingerprint
     /// can key persistent or shared caches (the sweep engine's translation
-    /// memo keys on it). Cached after the first call (the parametric
-    /// MinDist cache and the sweep memo both key on it per translation);
-    /// every mutator, including [`Dfg::node_mut`], clears the cache.
+    /// memo keys on it). Cached after the first call (the sweep memo
+    /// keys on it per translation); every mutator, including
+    /// [`Dfg::node_mut`], clears the cache.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
         *self.hash.get_or_init(|| self.content_hash_uncached())

@@ -7,7 +7,8 @@
 //!   (recurrence-constrained) minimum initiation intervals;
 //! * [`mindist`] — the all-pairs longest-path matrix used by the
 //!   Swing ordering (the O(n³) pass that makes priority computation the
-//!   dominant translation cost, 69% in the paper's Figure 8);
+//!   dominant translation cost, 69% in the paper's Figure 8), and the
+//!   per-recurrence diagonal the host actually computes for it;
 //! * [`priority`] — Swing modulo scheduling order (Llosa et al.) and the
 //!   cheaper height-based order (Rau), plus orders injected from static
 //!   binary hints;
@@ -45,7 +46,6 @@ pub mod display;
 pub mod mii;
 pub mod mindist;
 pub mod mrt;
-pub mod param;
 pub mod priority;
 pub mod regalloc;
 pub mod scheduler;
@@ -53,10 +53,9 @@ pub mod symbolic;
 pub mod verify;
 
 pub use display::render_mrt;
-pub use mii::{rec_mii, rec_mii_from_frontier, res_mii};
+pub use mii::{rec_mii, res_mii};
 pub use mindist::MinDist;
 pub use mrt::ModuloReservationTable;
-pub use param::MinDistParam;
 pub use priority::{height_order, swing_order, PriorityKind};
 pub use regalloc::{assign_registers, RegisterAssignment, RegisterPressure};
 pub use scheduler::{list_schedule, ModuloSchedule, ScheduleError};

@@ -165,20 +165,6 @@ pub fn rec_mii(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter) -> u32 {
     mii
 }
 
-/// RecMII read directly off the cached II-parametric MinDist structure
-/// ([`crate::MinDistParam`]): the smallest II at which no frontier
-/// diagonal entry is positive. **Unmetered** — the VM's cost model still
-/// runs (and charges for) the Bellman–Ford in [`rec_mii`]; this accessor
-/// serves host-side fast paths and cross-checks.
-///
-/// Equals [`rec_mii`] for every well-formed body (recurrence cycles pass
-/// only through schedulable ops); property tests assert the equality over
-/// a randomized corpus.
-#[must_use]
-pub fn rec_mii_from_frontier(dfg: &Dfg, lat: &LatencyModel) -> u32 {
-    crate::param::cached(dfg, lat).rec_mii()
-}
-
 /// Bellman–Ford style positive-cycle detection on a pre-compacted SCC edge
 /// list `(src index, dst index, src latency, distance)`, with edge weight
 /// `latency(src) − ii·distance`. One unit is charged per in-SCC edge per

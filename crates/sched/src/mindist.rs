@@ -2,13 +2,16 @@
 //!
 //! `MinDist[u][v]` is the largest value of `Σ latency − II·Σ distance` over
 //! all paths from `u` to `v`; scheduling must satisfy
-//! `t(v) ≥ t(u) + MinDist[u][v]`. The Swing ordering derives earliest/latest
-//! start times and node mobility from this matrix.
+//! `t(v) ≥ t(u) + MinDist[u][v]`. The Swing ordering ranks recurrences by
+//! the matrix diagonal.
 //!
 //! Computing it is Θ(n³) (Floyd–Warshall) — this is, by design, the
 //! dominant cost of translation, matching the paper's finding that priority
 //! computation consumes 69% of the ~100k-instruction average translation
 //! penalty (Figure 8), and motivating its static precomputation (§4.2).
+//! The meter charges that whole-graph kernel; the host runs it only over
+//! each recurrence ([`self_distances`]), because the diagonal is all the
+//! ordering reads.
 
 use veal_accel::LatencyModel;
 use veal_ir::{CostMeter, Dfg, OpId, Phase};
@@ -17,150 +20,75 @@ use veal_ir::{CostMeter, Dfg, OpId, Phase};
 #[derive(Debug, Clone)]
 pub struct MinDist {
     ops: Vec<OpId>,
-    // Row-major; i64::MIN encodes "no path".
+    // Row-major; NEG_INF encodes "no path".
     dist: Vec<i64>,
     n: usize,
 }
 
 const NEG_INF: i64 = i64::MIN / 4;
 
-// Dropped matrices park their Θ(n²) buffers here (per thread) and the next
-// `compute` on the thread reclaims them, so sweeps that translate thousands
-// of loops stop round-tripping the allocator for every matrix.
-thread_local! {
-    static DIST_POOL: std::cell::RefCell<Vec<Vec<i64>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-const DIST_POOL_DEPTH: usize = 8;
-
-/// `(reuses, allocs)` of pooled matrix buffers, summed across threads.
-fn dist_pool_counters() -> (&'static veal_obs::Counter, &'static veal_obs::Counter) {
-    static C: std::sync::OnceLock<(&'static veal_obs::Counter, &'static veal_obs::Counter)> =
-        std::sync::OnceLock::new();
-    *C.get_or_init(|| {
-        (
-            veal_obs::counter("sched.dist_pool.reuses"),
-            veal_obs::counter("sched.dist_pool.allocs"),
-        )
-    })
-}
-
-fn pooled_matrix(len: usize) -> Vec<i64> {
-    let recycled = DIST_POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        // Evict buffers grossly oversized for this request instead of
-        // resurrecting them: a thread that once scheduled a huge DFG must
-        // not park Θ(n_max²) memory forever.
-        while let Some(v) = pool.pop() {
-            if v.capacity() <= 4 * len.max(1) {
-                return Some(v);
+/// The heaviest single edge between each pair of `members` (sorted by id)
+/// at `ii`, row-major; `NEG_INF` where no edge joins the pair.
+fn edge_weights(dfg: &Dfg, lat: &LatencyModel, members: &[OpId], ii: u32) -> Vec<i64> {
+    let n = members.len();
+    let mut dist = vec![NEG_INF; n * n];
+    for (i, &u) in members.iter().enumerate() {
+        let l = i64::from(dfg.node(u).opcode().map_or(0, |op| lat.latency(op)));
+        for e in dfg.succ_edges(u) {
+            let Ok(j) = members.binary_search(&e.dst) else {
+                continue;
+            };
+            let w = l - i64::from(ii) * i64::from(e.distance);
+            let cell = &mut dist[i * n + j];
+            if w > *cell {
+                *cell = w;
             }
         }
-        None
-    });
-    match recycled {
-        Some(mut v) => {
-            dist_pool_counters().0.inc();
-            v.clear();
-            v.resize(len, NEG_INF);
-            v
-        }
-        None => {
-            dist_pool_counters().1.inc();
-            vec![NEG_INF; len]
-        }
     }
+    dist
 }
 
-impl Drop for MinDist {
-    fn drop(&mut self) {
-        let v = std::mem::take(&mut self.dist);
-        if v.capacity() > 0 {
-            DIST_POOL.with(|p| {
-                let mut pool = p.borrow_mut();
-                if pool.len() < DIST_POOL_DEPTH {
-                    pool.push(v);
+/// In-place Floyd–Warshall over a row-major `n·n` matrix, with `k`, `i`
+/// and `j` ascending. Below RecMII positive cycles keep it from
+/// converging; the cells it leaves are still a fixed function of the
+/// input, which is what [`self_distances`] relies on.
+fn floyd_warshall(dist: &mut [i64], n: usize) {
+    for k in 0..n {
+        for i in 0..n {
+            let dik = dist[i * n + k];
+            if dik == NEG_INF {
+                continue;
+            }
+            for j in 0..n {
+                let through = dik + dist[k * n + j];
+                if dist[k * n + j] != NEG_INF && through > dist[i * n + j] {
+                    dist[i * n + j] = through;
                 }
-            });
+            }
         }
     }
 }
 
 impl MinDist {
-    /// Computes the matrix at initiation interval `ii`.
+    /// Computes the matrix at initiation interval `ii` with the Θ(n³)
+    /// Floyd–Warshall kernel.
     ///
     /// Costs are charged to [`Phase::Priority`] because VEAL computes this
-    /// matrix as part of priority calculation. The charge models the VM's
-    /// Floyd–Warshall (`3n³ + 1`) regardless of how the host arrives at
-    /// the values: when `ii` is at or above the graph's RecMII (always
-    /// true inside the scheduling pipeline, where `II ≥ max(ResMII,
-    /// RecMII)`), the matrix is evaluated in O(n²·k) from the cached
-    /// II-parametric structure ([`crate::MinDistParam`]); below RecMII the
-    /// frontiers are not valid and the Floyd–Warshall kernel
-    /// ([`MinDist::compute_naive`]) runs. Both paths produce bit-identical
-    /// matrices and charges.
+    /// matrix as part of priority calculation: `3n³ + 1`, because each
+    /// inner step is several host instructions (two loads, compare, add,
+    /// conditional store), charged as 3 abstract instructions calibrated
+    /// against the paper's x86 instruction counts. [`crate::swing_order`]
+    /// charges the same figure.
     #[must_use]
     pub fn compute(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter) -> Self {
-        let param = crate::param::cached(dfg, lat);
-        if param.valid_at(ii) {
-            let ops = param.ops().to_vec();
-            let n = ops.len();
-            meter.charge(
-                Phase::Priority,
-                3 * (n as u64) * (n as u64) * (n as u64) + 1,
-            );
-            // Unreachable pairs keep the pool's NEG_INF prefill.
-            let mut dist = pooled_matrix(n * n);
-            param.eval_into(ii, &mut dist);
-            return MinDist { ops, dist, n };
-        }
-        Self::compute_naive(dfg, lat, ii, meter)
-    }
-
-    /// The Θ(n³) Floyd–Warshall kernel: the fallback of [`MinDist::compute`]
-    /// for `ii` below the graph's RecMII, and the oracle the property tests
-    /// check the parametric frontiers against.
-    #[must_use]
-    pub fn compute_naive(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter) -> Self {
         let ops: Vec<OpId> = dfg.schedulable_ops().collect();
         let n = ops.len();
-        let mut dist = pooled_matrix(n * n);
-        let index_of = |id: OpId| ops.binary_search(&id).ok();
-
-        for (i, &u) in ops.iter().enumerate() {
-            let l = i64::from(dfg.node(u).opcode().map_or(0, |op| lat.latency(op)));
-            for e in dfg.succ_edges(u) {
-                let Some(j) = index_of(e.dst) else { continue };
-                let w = l - i64::from(ii) * i64::from(e.distance);
-                let cell = &mut dist[i * n + j];
-                if w > *cell {
-                    *cell = w;
-                }
-            }
-        }
-        // Each Floyd–Warshall inner step is several host instructions
-        // (two loads, compare, add, conditional store): charge 3 abstract
-        // instructions per step, calibrated against the paper's x86
-        // instruction counts.
+        let mut dist = edge_weights(dfg, lat, &ops, ii);
         meter.charge(
             Phase::Priority,
             3 * (n as u64) * (n as u64) * (n as u64) + 1,
         );
-        for k in 0..n {
-            for i in 0..n {
-                let dik = dist[i * n + k];
-                if dik == NEG_INF {
-                    continue;
-                }
-                for j in 0..n {
-                    let through = dik + dist[k * n + j];
-                    if dist[k * n + j] != NEG_INF && through > dist[i * n + j] {
-                        dist[i * n + j] = through;
-                    }
-                }
-            }
-        }
+        floyd_warshall(&mut dist, n);
         MinDist { ops, dist, n }
     }
 
@@ -204,6 +132,37 @@ impl MinDist {
         }
         e
     }
+}
+
+/// `MinDist[v][v]` at `ii` for each `v` of `members`, in member order:
+/// the heaviest closed walk through `v`, or `None` where `v` lies on no
+/// cycle among `members`. Unmetered — callers charge the whole-graph
+/// kernel the VM runs.
+///
+/// The result equals [`MinDist::compute`]'s diagonal at every `ii`,
+/// converged or not, whenever `members` is sorted by id and is a union of
+/// strongly connected components of the schedulable ops (one recurrence,
+/// say). Every vertex on a closed walk through a member lies in that
+/// member's component, so the whole-graph Floyd–Warshall never updates a
+/// cell between members through a vertex outside them; run over the
+/// members alone, in the same ascending order, it makes the same updates
+/// to those cells in the same order.
+#[must_use]
+pub fn self_distances(
+    dfg: &Dfg,
+    lat: &LatencyModel,
+    members: &[OpId],
+    ii: u32,
+) -> Vec<Option<i64>> {
+    let n = members.len();
+    let mut dist = edge_weights(dfg, lat, members, ii);
+    floyd_warshall(&mut dist, n);
+    (0..n)
+        .map(|i| {
+            let d = dist[i * n + i];
+            (d != NEG_INF).then_some(d)
+        })
+        .collect()
 }
 
 #[cfg(test)]

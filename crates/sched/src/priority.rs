@@ -4,14 +4,14 @@
 //!   \[19\]): recurrence sets first, most critical first, each extended with
 //!   the nodes on paths to previously ordered sets, swept alternately
 //!   bottom-up/top-down so every op is scheduled next to an already placed
-//!   neighbour. This is the high-quality, expensive priority (it computes
-//!   the MinDist matrix).
+//!   neighbour. This is the high-quality, expensive priority (the VM
+//!   computes the MinDist matrix for it).
 //! * [`height_order`] — Rau's height-based priority \[24\]: a single
 //!   O(V + E) longest-path-to-sink pass. Much cheaper to compute, but with
 //!   a single-pass list scheduler it "often yielded sub-optimal schedules"
 //!   (paper §4.2) — reproduced here and evaluated in Figure 10.
 
-use crate::mindist::MinDist;
+use crate::mindist::self_distances;
 use veal_accel::LatencyModel;
 use veal_ir::{CostMeter, Dfg, OpId, Phase};
 
@@ -43,7 +43,7 @@ pub fn heights(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter, phase: Phas
 }
 
 /// [`heights`] along a given distance-0 topological order of the live nodes.
-pub(crate) fn heights_over(
+fn heights_over(
     dfg: &Dfg,
     lat: &LatencyModel,
     order: &[OpId],
@@ -76,7 +76,7 @@ pub fn depths(dfg: &Dfg, lat: &LatencyModel, meter: &mut CostMeter, phase: Phase
 }
 
 /// [`depths`] along a given distance-0 topological order of the live nodes.
-pub(crate) fn depths_over(
+fn depths_over(
     dfg: &Dfg,
     lat: &LatencyModel,
     order: &[OpId],
@@ -147,39 +147,6 @@ fn bit_clear(words: &mut [u64], i: usize) {
     words[i / 64] &= !(1 << (i % 64));
 }
 
-/// MinDist self-distance source for [`swing_order`]'s recurrence ranking.
-///
-/// The Swing ordering reads only the matrix *diagonal* (per-SCC
-/// criticality), so when the II-parametric structure is valid the full
-/// n² matrix is never materialized — each needed `(v, v)` cell is
-/// evaluated from its Pareto frontier on demand. The naive fallback keeps
-/// the dense matrix. Both sources yield identical values, and the caller
-/// charges the same `3n³ + 1` either way (the VM's cost model describes
-/// its Floyd–Warshall, not the host shortcut).
-enum SelfDist {
-    Param(std::sync::Arc<crate::param::MinDistParam>, u32),
-    Naive(MinDist),
-}
-
-impl SelfDist {
-    fn get(&self, v: OpId) -> Option<i64> {
-        match self {
-            SelfDist::Param(p, ii) => p.eval_pair(v, v, *ii),
-            SelfDist::Naive(md) => md.get(v, v),
-        }
-    }
-}
-
-/// The per-SCC criticality used to rank recurrence sets: the SCC's own
-/// RecMII (longest cycle ratio), recomputed cheaply from MinDist self
-/// distances at the loop's RecMII.
-fn scc_criticality(md: &SelfDist, scc: &[OpId]) -> i64 {
-    scc.iter()
-        .filter_map(|&v| md.get(v))
-        .max()
-        .unwrap_or(i64::MIN)
-}
-
 /// Swing modulo scheduling order.
 ///
 /// Recurrence sets are ordered by decreasing criticality; the nodes of each
@@ -188,45 +155,20 @@ fn scc_criticality(md: &SelfDist, scc: &[OpId]) -> i64 {
 /// adjacent to an already emitted op — so the list scheduler always has a
 /// one-sided or two-sided window to place it in.
 ///
-/// `ii` is the II the MinDist matrix is computed at (normally the MII).
+/// A set's criticality is the largest MinDist self distance among its
+/// members at `ii` (normally the MII). The meter charges the VM's
+/// whole-graph Floyd–Warshall (`3n³ + 1` over the `n` schedulable ops);
+/// the host runs it inside each recurrence only
+/// ([`crate::mindist::self_distances`]), which yields the same diagonal at
+/// every `ii`, below RecMII included.
 #[must_use]
 pub fn swing_order(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter) -> Vec<OpId> {
-    // The parametric frontiers at or above RecMII, Floyd–Warshall below
-    // it — the choice `MinDist::compute` makes — but read through the
-    // diagonal-only `SelfDist` view (the ordering never reads off-diagonal
-    // cells).
     let ii = ii.max(1);
-    let param = crate::param::cached(dfg, lat);
-    let md = if param.valid_at(ii) {
-        let n = param.ops().len() as u64;
-        meter.charge(Phase::Priority, 3 * n * n * n + 1);
-        SelfDist::Param(param, ii)
-    } else {
-        SelfDist::Naive(MinDist::compute_naive(dfg, lat, ii, meter))
-    };
-    // Depth/height profiles depend only on (dfg, lat), never on II, so the
-    // parametric path reuses the copies memoized in the cached
-    // `MinDistParam` — charging exactly what the two passes would have
-    // charged (one unit per topo node per pass). The fallback recomputes
-    // (and, for ill-formed bodies, panics) exactly as before.
-    let dh = match &md {
-        SelfDist::Param(p, _) => p.profiles().map(|(pd, ph, topo_len)| {
-            meter.charge(Phase::Priority, 2 * topo_len as u64);
-            (pd, ph)
-        }),
-        SelfDist::Naive(_) => None,
-    };
-    let owned;
-    let (d, h): (&[u32], &[u32]) = match dh {
-        Some(dh) => dh,
-        None => {
-            owned = (
-                depths(dfg, lat, meter, Phase::Priority),
-                heights(dfg, lat, meter, Phase::Priority),
-            );
-            (&owned.0, &owned.1)
-        }
-    };
+    let n = dfg.schedulable_ops().count() as u64;
+    meter.charge(Phase::Priority, 3 * n * n * n + 1);
+    let topo = topo0(dfg);
+    let d = depths_over(dfg, lat, &topo, meter, Phase::Priority);
+    let h = heights_over(dfg, lat, &topo, meter, Phase::Priority);
 
     // Partition into recurrence sets and rank them. Only cyclic-SCC
     // membership matters here, so the allocation-free Tarjan suffices —
@@ -266,13 +208,25 @@ pub fn swing_order(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter
         }
     }
     veal_ir::with_arena(|a| a.give_u64(packed));
-    let mut rec_sets: Vec<&[OpId]> = set_bounds.iter().map(|&(s, e)| &members[s..e]).collect();
+    // Each set's criticality is computed once, then the sets are sorted;
+    // the key is total (distinct sets differ in their smallest member).
     // Component ids are assigned in Tarjan emission order, so the
-    // pre-sort order matches the old comps() iteration; the key is total
-    // anyway (distinct sets differ in their smallest member).
-    rec_sets.sort_by_key(|scc| {
+    // pre-sort order matches the old comps() iteration.
+    let mut rec_sets: Vec<(i64, &[OpId])> = set_bounds
+        .iter()
+        .map(|&(s, e)| {
+            let scc = &members[s..e];
+            let critical = self_distances(dfg, lat, scc, ii)
+                .into_iter()
+                .flatten()
+                .max()
+                .unwrap_or(i64::MIN);
+            (critical, scc)
+        })
+        .collect();
+    rec_sets.sort_by_key(|&(critical, scc)| {
         (
-            std::cmp::Reverse(scc_criticality(&md, scc)),
+            std::cmp::Reverse(critical),
             std::cmp::Reverse(scc.len()),
             scc[0],
         )
@@ -348,7 +302,7 @@ pub fn swing_order(dfg: &Dfg, lat: &LatencyModel, ii: u32, meter: &mut CostMeter
         }
     };
 
-    for scc in rec_sets {
+    for (_, scc) in rec_sets {
         emit_set(scc, &mut order, &mut placed);
     }
     // Final set: all remaining schedulable ops.

@@ -200,26 +200,9 @@ pub fn list_schedule(
     meter: &mut CostMeter,
 ) -> Result<ModuloSchedule, ScheduleError> {
     let lat = &config.latencies;
-    // Depths depend only on (dfg, lat). Only the Swing ordering builds the
-    // II-parametric MinDist structure, which memoizes them; when this
-    // thread still holds it, its copy is reused. Otherwise — static or
-    // height priority, or a concretization whose order came from the
-    // symbolic cache — the direct O(V + E) pass runs: building the whole
-    // frontier just to read depths is the work a priority hint skips.
-    // Both sources charge one unit per topo node, and both panic on
-    // ill-formed (distance-0 cyclic) bodies exactly as before.
-    let resident = crate::param::peek(dfg, lat);
-    let owned;
-    let d: &[u32] = match resident.as_ref().and_then(|p| p.profiles()) {
-        Some((pd, _, topo_len)) => {
-            meter.charge(Phase::Scheduling, topo_len as u64);
-            pd
-        }
-        None => {
-            owned = depths(dfg, lat, meter, Phase::Scheduling);
-            &owned
-        }
-    };
+    // Unplaced ops with no placed neighbour start at their depth: one
+    // O(V + E) pass, one unit per topo node.
+    let d = depths(dfg, lat, meter, Phase::Scheduling);
     let start_ii = mii.max(config.min_ii_for_streams(streams)).max(1);
     // Bound the escalation: a loop that fails 64 consecutive IIs is not
     // going to schedule (keeps the huge-control-store infinite machine from
@@ -252,7 +235,7 @@ pub fn list_schedule(
                 .get_or_init(|| veal_obs::counter("sched.ii_escalations"))
                 .inc();
         }
-        if let Some(schedule) = try_schedule(dfg, config, order, ii, d, &mut scratch, meter) {
+        if let Some(schedule) = try_schedule(dfg, config, order, ii, &d, &mut scratch, meter) {
             result = Ok(schedule);
             break;
         }

@@ -14,7 +14,10 @@
 //! [`concretize`] replays the cached charges bit-identically and spends
 //! host time only on the cheap configuration-dependent suffix (which
 //! reuses the scheduler's thread-local scratch pool, so a concretization
-//! is allocation-light).
+//! is allocation-light). This cache is the only place priority work is
+//! reused across configurations or IIs, after Witterauf et al.'s
+//! symbolic loop compilation: the Swing ordering itself keeps no state
+//! between calls.
 //!
 //! The bit-identity contract: for any `(dfg, options)` pair the symbolic
 //! schedule was built against and any configuration with the family's
@@ -43,7 +46,7 @@ struct OrderEntry {
 }
 
 /// Key of the order cache: the MII the order was computed at for the Swing
-/// priority (which reads the MinDist envelope at that II), or this
+/// priority (which reads MinDist self distances at that II), or this
 /// sentinel for the II-independent height priority.
 const HEIGHT_KEY: u32 = u32::MAX;
 

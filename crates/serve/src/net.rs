@@ -76,8 +76,12 @@ pub struct NetConfig {
     /// Accept cap; connections beyond it get [`ErrorCode::Overloaded`]
     /// and an immediate close.
     pub max_connections: usize,
-    /// Per-connection cap on admitted-but-unanswered requests; requests
-    /// beyond it get [`ErrorCode::Overloaded`] without touching a session.
+    /// Per-connection cap on admitted-but-unanswered requests. A
+    /// connection at the cap is not refused but held back: the reactor
+    /// stops decoding its frames, leaves the rest buffered and stops
+    /// reading its socket, so TCP flow control slows the client, and
+    /// picks the connection up again on the next pass, once the drain has
+    /// answered its requests.
     pub max_inflight: usize,
     /// Per-frame length cap (see [`crate::wire::MAX_FRAME_LEN`]).
     pub max_frame_len: usize,
@@ -129,6 +133,9 @@ struct Conn {
     frames: u64,
     /// Tokens admitted and not yet answered.
     inflight: usize,
+    /// Bytes wait in `rbuf` because `inflight` reached the cap; the socket
+    /// is not read until they are decoded.
+    held: bool,
     last_activity: Instant,
     /// Close once `wbuf` flushes.
     closing: bool,
@@ -246,6 +253,7 @@ impl NetServer {
                                 tenant: None,
                                 frames: 0,
                                 inflight: 0,
+                                held: false,
                                 last_activity: Instant::now(),
                                 closing: false,
                             };
@@ -278,7 +286,7 @@ impl NetServer {
                 }
                 let mut closed_by_peer = false;
                 let mut chunk = [0u8; 16 * 1024];
-                loop {
+                while !conn.held {
                     match conn.stream.read(&mut chunk) {
                         Ok(0) => {
                             closed_by_peer = true;
@@ -298,10 +306,18 @@ impl NetServer {
                     }
                 }
 
-                // Decode every complete frame in the buffer.
+                // Decode buffered frames until the in-flight cap. Each frame
+                // admits at most one request, so none meets a full cap; the
+                // rest wait for the next pass, which follows without the
+                // idle sleep because this pass's drain answers the
+                // connection's requests.
                 let mut fatal = false;
                 let mut at = 0usize;
                 loop {
+                    conn.held = conn.inflight >= config.max_inflight.max(1);
+                    if conn.held {
+                        break;
+                    }
                     match decode_frame(&conn.rbuf[at..], config.max_frame_len) {
                         FrameStatus::Incomplete => break,
                         FrameStatus::Fatal { reason } => {
@@ -335,7 +351,6 @@ impl NetServer {
                                 &mut pool,
                                 &mut bodies,
                                 &mut report,
-                                &config,
                                 translator_family_fp,
                             ) {
                                 Handled::Ok => admitted_any = true,
@@ -351,6 +366,7 @@ impl NetServer {
                     }
                 }
                 conn.rbuf.drain(..at);
+                conn.held &= !conn.rbuf.is_empty();
 
                 if fatal || closed_by_peer {
                     let frames = conn.frames;
@@ -441,6 +457,7 @@ impl NetServer {
             for (slot, entry) in conns.iter_mut().enumerate() {
                 let evict = entry.as_ref().is_some_and(|c| {
                     c.inflight == 0
+                        && !c.held
                         && c.wbuf.is_empty()
                         && c.last_activity.elapsed() >= config.idle_timeout
                 });
@@ -462,7 +479,7 @@ impl NetServer {
                 let quiescent = conns
                     .iter()
                     .flatten()
-                    .all(|c| c.inflight == 0 && c.wbuf.is_empty());
+                    .all(|c| c.inflight == 0 && !c.held && c.wbuf.is_empty());
                 if quiescent {
                     let mut stats = *pool.stats();
                     if let Some(policy) = service.checkpoint_policy() {
@@ -498,7 +515,6 @@ impl NetServer {
 
     /// Handles one well-formed frame. Module payloads pass through the
     /// full untrusted-bytes gauntlet here before any session sees them.
-    #[allow(clippy::too_many_arguments)]
     fn handle_frame(
         frame: WireFrame,
         slot: usize,
@@ -506,7 +522,6 @@ impl NetServer {
         pool: &mut crate::service::SessionPool<'_>,
         bodies: &mut BodyRegistry,
         report: &mut NetReport,
-        config: &NetConfig,
         server_family_fp: Option<u64>,
     ) -> Handled {
         match frame {
@@ -542,15 +557,6 @@ impl NetServer {
                 let Some(tenant) = conn.tenant else {
                     return Self::refuse(conn, report, seq, ErrorCode::BadHello, "hello first");
                 };
-                if conn.inflight >= config.max_inflight.max(1) {
-                    return Self::refuse(
-                        conn,
-                        report,
-                        seq,
-                        ErrorCode::Overloaded,
-                        "in-flight cap reached",
-                    );
-                }
                 // The untrusted-bytes gauntlet: framing, checksums, graph
                 // verification. A failure is a typed error, not a crash.
                 let decoded = match decode_module(&module) {
@@ -594,15 +600,6 @@ impl NetServer {
                 let Some(tenant) = conn.tenant else {
                     return Self::refuse(conn, report, seq, ErrorCode::BadHello, "hello first");
                 };
-                if conn.inflight >= config.max_inflight.max(1) {
-                    return Self::refuse(
-                        conn,
-                        report,
-                        seq,
-                        ErrorCode::Overloaded,
-                        "in-flight cap reached",
-                    );
-                }
                 let Some((body, hints)) = bodies.get(&(loop_hash, hints_fp)) else {
                     return Self::refuse(
                         conn,

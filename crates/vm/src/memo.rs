@@ -10,7 +10,7 @@
 //! apps, figure rows, or repeated runs touch it.
 //!
 //! Replay is exact: a memo hit hands back the original
-//! [`TranslationOutcome`]'s result *and* phase breakdown, and
+//! [`crate::TranslationOutcome`]'s result *and* phase breakdown, and
 //! [`crate::VmSession`] charges its statistics from the stored breakdown
 //! exactly as a fresh translation would — so memoized runs produce
 //! bit-identical simulated numbers.

@@ -7,13 +7,16 @@
 //! (never the server, never a bystander connection), and idle connections
 //! are evicted without disturbing live ones.
 
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
-use veal::serve::wire::{encode_frame, ErrorCode, WireFrame, WIRE_VERSION};
+use veal::serve::wire::{
+    decode_frame, encode_frame, ErrorCode, FrameStatus, WireFrame, MAX_FRAME_LEN, WIRE_VERSION,
+};
 use veal::serve::{generate, LoadSpec, NetConfig, NetReport, ServeConfig, TranslationService};
+use veal::{encode_module, encode_translated_loop, BinaryModule, EncodedLoop};
 use veal::{NetServer, WireClient};
 
 fn spec(seed: u64, requests: usize, tenants: usize) -> LoadSpec {
@@ -317,4 +320,93 @@ fn idle_connections_are_evicted_at_the_deadline() {
         "the silent connection must be evicted at the deadline"
     );
     assert!(served > 0 && report.stats.completed as usize >= served);
+}
+
+/// Reads one frame off a blocking socket, buffering what follows it.
+fn read_frame(s: &mut TcpStream, rbuf: &mut Vec<u8>) -> WireFrame {
+    loop {
+        match decode_frame(rbuf, MAX_FRAME_LEN) {
+            FrameStatus::Frame { frame, consumed } => {
+                rbuf.drain(..consumed);
+                return frame;
+            }
+            FrameStatus::Incomplete => {
+                let mut chunk = [0u8; 16 * 1024];
+                let n = s.read(&mut chunk).expect("read");
+                assert!(n > 0, "server closed the connection");
+                rbuf.extend_from_slice(&chunk[..n]);
+            }
+            other => panic!("server sent a malformed frame: {other:?}"),
+        }
+    }
+}
+
+/// A client that pipelines more requests than the in-flight cap in one
+/// write is slowed down, not refused: the reactor holds the frames past
+/// the cap back until the drain has answered the admitted ones, and every
+/// answer is the one in-process serving gives.
+#[test]
+fn pipelined_requests_past_the_inflight_cap_are_held_back_not_refused() {
+    let cfg = ServeConfig {
+        threads: 1,
+        ..ServeConfig::paper()
+    };
+    let stream = generate(&spec(0xCA9, 12, 1), &cfg.config, cfg.cca.as_ref());
+    let reference = TranslationService::new(cfg.clone()).run(&stream);
+    let net = NetConfig {
+        max_inflight: 2,
+        ..NetConfig::default()
+    };
+    let (addr, handle) = spawn_server(cfg.clone(), net);
+
+    let mut burst = encode_frame(&WireFrame::Hello {
+        version: WIRE_VERSION,
+        tenant: 0,
+        family_fp: None,
+    });
+    for (seq, req) in (0u32..).zip(&stream) {
+        let module = encode_module(&BinaryModule {
+            loops: vec![EncodedLoop {
+                body: (*req.body).clone(),
+                priority_hint: req.hints.priority.clone(),
+                cca_hint: req.hints.cca_groups.clone(),
+                family_hint: None,
+            }],
+        });
+        burst.extend_from_slice(&encode_frame(&WireFrame::ReqModule {
+            seq,
+            key: req.key,
+            module,
+        }));
+    }
+    burst.extend_from_slice(&encode_frame(&WireFrame::Shutdown));
+    let mut s = TcpStream::connect(&addr).expect("connect");
+    s.write_all(&burst).expect("one pipelined write");
+
+    let mut rbuf = Vec::new();
+    let want = &reference.tenants[0].outcomes;
+    assert_eq!(want.len(), 12);
+    for (seq, w) in (0u32..).zip(want) {
+        match read_frame(&mut s, &mut rbuf) {
+            WireFrame::Outcome {
+                seq: got,
+                translation_cycles,
+                translated,
+                ..
+            } => {
+                assert_eq!(got, seq, "responses arrive in request order");
+                assert_eq!(translation_cycles, w.translation_cycles, "request {seq}");
+                let want_bytes = w
+                    .translated
+                    .as_deref()
+                    .map(|t| encode_translated_loop(t).expect("schedule encodes"));
+                assert_eq!(translated, want_bytes, "request {seq} schedule bytes");
+            }
+            other => panic!("request {seq} answered with {other:?}"),
+        }
+    }
+    assert_eq!(read_frame(&mut s, &mut rbuf), WireFrame::Bye);
+    let report = handle.join().expect("server thread");
+    assert_eq!(report.stats.completed, 12);
+    assert_eq!(report.tenants[0].stats, reference.tenants[0].stats);
 }

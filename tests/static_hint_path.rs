@@ -1,52 +1,43 @@
-//! The static-hint and height-priority routes skip the work their
-//! priority exists to skip.
+//! The list scheduler charges the same on every priority route.
 //!
-//! Only the Swing ordering needs the II-parametric MinDist frontier; the
-//! list scheduler reads just a depth profile, which it takes from a
-//! frontier already resident on its thread or else from one O(V + E)
-//! pass with the same charge. So after a hinted or height-priority
-//! translation no frontier may be resident for the translated graph —
-//! checked through this thread's cache, which no other test touches — and
-//! the Scheduling charge must stay the figure it was before the scheduler
-//! stopped building the frontier.
+//! The scheduler reads a depth profile, which it computes with one
+//! O(V + E) pass at one unit per topo node whatever produced the order: a
+//! static hint, the height priority or the Swing ordering. Its suite-wide
+//! Scheduling charge on each route is pinned to the figure recorded
+//! before the scheduler stopped borrowing the profile from the Swing
+//! ordering's MinDist structures.
 
 use veal::ir::Phase;
-use veal::sched::param;
 use veal::vm::{StaticHints, TranslationPolicy, Translator};
 use veal::{compute_hints, legalize, AcceleratorConfig, CcaSpec, LoopBody, TransformLimits};
 
-/// Every legalized suite loop with its shipped hints. Built on its own
-/// thread: `compute_hints` runs the Swing ordering, which would leave
-/// frontiers in the calling thread's cache.
+/// Every legalized suite loop with its shipped hints.
 fn hinted_suite() -> Vec<(LoopBody, StaticHints)> {
-    std::thread::spawn(|| {
-        let config = AcceleratorConfig::paper_design();
-        let spec = CcaSpec::paper();
-        let limits = TransformLimits::default();
-        veal::workloads::full_suite()
-            .iter()
-            .flat_map(|a| &a.loops)
-            .flat_map(|l| legalize(&l.raw, &limits))
-            .map(|p| {
-                let hints = compute_hints(&p.body, &config, Some(&spec));
-                (p.body, hints)
-            })
-            .collect()
-    })
-    .join()
-    .expect("hint computation")
+    let config = AcceleratorConfig::paper_design();
+    let spec = CcaSpec::paper();
+    let limits = TransformLimits::default();
+    veal::workloads::full_suite()
+        .iter()
+        .flat_map(|a| &a.loops)
+        .flat_map(|l| legalize(&l.raw, &limits))
+        .map(|p| {
+            let hints = compute_hints(&p.body, &config, Some(&spec));
+            (p.body, hints)
+        })
+        .collect()
 }
 
 #[test]
-fn hinted_and_height_translations_leave_no_mindist_frontier() {
+fn scheduling_charge_is_pinned_on_every_priority_route() {
     let config = AcceleratorConfig::paper_design();
     let suite = hinted_suite();
     assert_eq!(suite.len(), 200);
     let none = StaticHints::none();
-    // Suite-wide Scheduling units, as charged before the change.
+    // Suite-wide Scheduling units per route.
     let routes = [
         (TranslationPolicy::static_hints(), true, 831_561),
         (TranslationPolicy::fully_dynamic_height(), false, 45_635),
+        (TranslationPolicy::fully_dynamic(), false, 831_561),
     ];
     for (policy, hinted, want) in routes {
         let tr = Translator::new(config.clone(), Some(CcaSpec::paper()), policy);
@@ -55,37 +46,9 @@ fn hinted_and_height_translations_leave_no_mindist_frontier() {
         for (body, hints) in &suite {
             let out = tr.translate(body, if hinted { hints } else { &none });
             units += out.breakdown.get(Phase::Scheduling);
-            if let Ok(t) = &out.result {
-                mapped += 1;
-                assert!(
-                    param::peek(&t.dfg, &config.latencies).is_none(),
-                    "{}: {policy:?} left a MinDist frontier resident",
-                    body.name
-                );
-            }
+            mapped += usize::from(out.result.is_ok());
         }
         assert!(mapped > 150, "{policy:?}: only {mapped} loops mapped");
         assert_eq!(units, want, "{policy:?}: Scheduling charge moved");
     }
-
-    // The check can see a frontier: the Swing route builds one per loop
-    // and leaves it resident.
-    let swing = Translator::new(
-        config.clone(),
-        Some(CcaSpec::paper()),
-        TranslationPolicy::fully_dynamic(),
-    );
-    let mut units = 0u64;
-    for (body, _) in &suite {
-        let out = swing.translate(body, &none);
-        units += out.breakdown.get(Phase::Scheduling);
-        if let Ok(t) = &out.result {
-            assert!(
-                param::peek(&t.dfg, &config.latencies).is_some(),
-                "{}: Swing ordering left no frontier",
-                body.name
-            );
-        }
-    }
-    assert_eq!(units, 831_561, "fully dynamic Scheduling charge moved");
 }

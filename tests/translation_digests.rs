@@ -9,13 +9,14 @@
 //! a digest that moves means a schedule, a charge or a verdict moved: find
 //! which before re-recording it. Where an oracle built from the remaining
 //! primitives exists (sequential [`Dfg::collapse`] for hint decoding, the
-//! frontier RecMII), it is checked loop by loop as well.
+//! Floyd–Warshall [`MinDist`] for RecMII), it is checked loop by loop as
+//! well.
 
 use veal::ir::meter::ALL_PHASES;
 use veal::ir::rng::{Fnv64, Rng64};
 use veal::ir::streams::separate;
 use veal::ir::{CostMeter, Dfg, Phase, PhaseBreakdown};
-use veal::sched::{rec_mii, rec_mii_from_frontier, ModuloSchedule, RegisterAssignment};
+use veal::sched::{rec_mii, MinDist, ModuloSchedule, RegisterAssignment};
 use veal::vm::verify::{verify_and_apply_cca, HintError};
 use veal::vm::{StaticHints, TranslationPolicy, Translator};
 use veal::{AcceleratorConfig, CcaSpec, OpId};
@@ -154,6 +155,15 @@ fn cca_commit_and_hint_decode_match_recorded_digest() {
     );
 }
 
+/// Whether any op of `dfg` lies on a positive cycle at `ii`, by the
+/// Floyd–Warshall matrix.
+fn has_positive_cycle(dfg: &Dfg, config: &AcceleratorConfig, ii: u32) -> bool {
+    let md = MinDist::compute(dfg, &config.latencies, ii, &mut CostMeter::new());
+    md.ops()
+        .iter()
+        .any(|&v| md.get(v, v).is_some_and(|d| d > 0))
+}
+
 #[test]
 fn rec_mii_matches_recorded_digest() {
     let config = AcceleratorConfig::paper_design();
@@ -162,10 +172,14 @@ fn rec_mii_matches_recorded_digest() {
         veal::cca::map_cca(&mut dfg, &CcaSpec::paper(), &mut CostMeter::new());
         let mut meter = CostMeter::new();
         let mii = rec_mii(&dfg, &config.latencies, &mut meter);
-        assert_eq!(
-            mii,
-            rec_mii_from_frontier(&dfg, &config.latencies),
-            "{name}: RecMII disagrees with the frontier"
+        // RecMII is the smallest II at which no recurrence is positive.
+        assert!(
+            !has_positive_cycle(&dfg, &config, mii),
+            "{name}: a cycle is still positive at RecMII {mii}"
+        );
+        assert!(
+            mii == 1 || has_positive_cycle(&dfg, &config, mii - 1),
+            "{name}: no cycle is positive at RecMII − 1"
         );
         h.write_u64(u64::from(mii));
         fold_breakdown(&mut h, meter.breakdown());
