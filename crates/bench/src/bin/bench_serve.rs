@@ -4,14 +4,9 @@
 //! are **bit-identical** at every thread count (concurrency reorders work
 //! across tenants, never results within one).
 //!
-//! Two kinds of numbers, deliberately separated:
-//!
-//! * **wall-clock** — honest host measurements, tagged with `host_cores`;
-//!   on a one-core CI box these do not scale and are not expected to;
-//! * **lane model** — the deterministic abstract-cycle simulation of the
-//!   same dispatch policy ([`veal::serve::simulate_lanes`]), which is the
-//!   paper-style figure: identical on any machine. The `sim_speedup_4l`
-//!   field (4 lanes vs 1) is the scaling claim CI checks.
+//! The wall-clock arms are honest host measurements, tagged with
+//! `host_cores`; on a one-core CI box they do not scale and are not
+//! expected to. A restart arm times snapshot restore against a cold run.
 //!
 //! Results go to `BENCH_serve.json`. Knobs for the CI smoke job:
 //! `VEAL_SERVE_REQUESTS`, `VEAL_SERVE_TENANTS`, `VEAL_SERVE_MAX_THREADS`.
@@ -21,7 +16,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-use veal::serve::{generate, percentile, LaneReport, LoadSpec};
+use veal::serve::{generate, LoadSpec};
 use veal::{
     AcceleratorFamily, JsonlSink, NullSink, ServeConfig, ServeReport, Trace, TranslationService,
     VmStats,
@@ -49,6 +44,16 @@ fn trace_out_arg() -> Option<std::path::PathBuf> {
         }
     }
     None
+}
+
+/// Nearest-rank percentile of an **ascending-sorted** slice; `q` in
+/// `[0, 1]`. Returns 0 for an empty slice.
+fn percentile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
 /// One thread count's wall-clock arm.
@@ -108,10 +113,8 @@ fn main() {
     );
 
     // Reference run: one thread, cold memo. Everything else is compared
-    // against these per-tenant stats, and its per-request simulated costs
-    // feed the lane model.
+    // against these per-tenant stats.
     let mut reference: Option<Vec<VmStats>> = None;
-    let mut lane_costs: Vec<Vec<u64>> = Vec::new();
     let mut arms: Vec<WallArm> = Vec::new();
     let mut last_report: Option<ServeReport> = None;
 
@@ -143,14 +146,7 @@ fn main() {
 
         let stats: Vec<VmStats> = cold.tenants.iter().map(|t| t.stats.clone()).collect();
         match &reference {
-            None => {
-                lane_costs = cold
-                    .tenants
-                    .iter()
-                    .map(|t| t.outcomes.iter().map(|o| o.translation_cycles).collect())
-                    .collect();
-                reference = Some(stats);
-            }
+            None => reference = Some(stats),
             Some(reference) => {
                 // The serving invariant: thread count must be invisible in
                 // every tenant's stats, or the concurrency is unsound.
@@ -234,93 +230,12 @@ fn main() {
         );
     }
 
-    // Network arm: the same stream over a loopback socket (DESIGN.md §15).
-    // One connection per tenant, driven lock-step — wire framing, frame
-    // checksums, the module decode gauntlet, and client-side schedule
-    // re-verification are all on the measured path. Per-tenant statistics
-    // must still be bit-identical to the in-process cold run.
-    let net_cfg = ServeConfig {
-        threads: 1,
-        ..base.clone()
-    };
-    let net_accel = net_cfg.config.clone();
-    let net_family_fp = net_cfg.family.as_ref().map(|f| f.fingerprint());
-    let net_service = TranslationService::new(net_cfg);
-    let server = veal::NetServer::bind(net_service, veal::NetConfig::default())
-        .expect("bind loopback server");
-    let addr = server.local_addr().expect("bound address").to_string();
-    let server_thread = std::thread::spawn(move || server.run());
-    let t0 = Instant::now();
-    let mut clients: Vec<Option<veal::WireClient>> = (0..spec.tenants).map(|_| None).collect();
-    for req in &stream {
-        let c = clients[req.tenant].get_or_insert_with(|| {
-            veal::WireClient::connect(
-                &addr,
-                u32::try_from(req.tenant).expect("small tenant index"),
-                net_family_fp,
-                net_accel.clone(),
-            )
-            .expect("connect to loopback server")
-        });
-        let outcome = c
-            .request(req.key, &req.body, &req.hints)
-            .expect("network request");
-        assert!(outcome.error.is_none(), "calm stream must not be refused");
-    }
-    let network_ms = t0.elapsed().as_secs_f64() * 1e3;
-    clients
-        .into_iter()
-        .flatten()
-        .next()
-        .expect("at least one connection")
-        .shutdown()
-        .expect("graceful shutdown");
-    let net_report = server_thread.join().expect("server thread");
-    assert_eq!(
-        net_report.stats.completed,
-        stream.len() as u64,
-        "every request must complete over the wire"
-    );
-    for (c, n) in restart_cold.tenants.iter().zip(&net_report.tenants) {
-        assert_eq!(
-            c.stats, n.stats,
-            "network tenant {} diverged from the in-process run",
-            c.tenant
-        );
-    }
-    let network_rps = stream.len() as f64 / (network_ms.max(1e-9) / 1e3);
-
-    // The paper-style figure: the same dispatch policy in abstract
-    // cycles. Simulated lanes cost nothing, so the sweep is fixed —
-    // shrinking the wall-clock arms for CI never hides the 4-lane check.
-    let sims: Vec<LaneReport> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&l| veal::serve::simulate_lanes(&lane_costs, l, base.batch_size))
-        .collect();
-    let sim_1l = sims.first().expect("one lane point");
-    let sim_speedup_4l = sims
-        .iter()
-        .find(|s| s.lanes == 4)
-        .map(|s| s.throughput_rpmc / sim_1l.throughput_rpmc);
-    if let Some(speedup) = sim_speedup_4l {
-        assert!(
-            speedup >= 2.0,
-            "lane model must scale ≥2x at 4 lanes, got {speedup:.2}x"
-        );
-    }
-
     let cache_hits: u64 = report.tenants.iter().map(|t| t.cache.hits).sum();
     let cache_misses: u64 = report.tenants.iter().map(|t| t.cache.misses).sum();
     for a in &arms {
         println!(
             "{} thread(s): cold {:>8.1} ms ({:>9.0} req/s), warm {:>8.1} ms ({:>9.0} req/s), p50 {} ns, p99 {} ns",
             a.threads, a.cold_ms, a.cold_rps, a.warm_ms, a.warm_rps, a.p50_ns, a.p99_ns
-        );
-    }
-    for s in &sims {
-        println!(
-            "lane model {}: makespan {} cycles, {:.2} req/Mcycle, p50 {} p99 {}",
-            s.lanes, s.makespan_cycles, s.throughput_rpmc, s.p50_cycles, s.p99_cycles
         );
     }
     println!(
@@ -348,10 +263,6 @@ fn main() {
         restore.restored(),
         restart_warm_ms
     );
-    println!(
-        "network: {:.1} ms ({:.0} req/s) over {} connection(s), {} frame(s), {} reject(s)",
-        network_ms, network_rps, net_report.accepted, net_report.frames, net_report.decode_rejects
-    );
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"serve\",");
@@ -368,20 +279,7 @@ fn main() {
         );
         json.push_str(if i + 1 < arms.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  ],\n  \"sim\": [\n");
-    for (i, s) in sims.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"lanes\": {}, \"makespan_cycles\": {}, \"throughput_rpmc\": {:.3}, \
-             \"p50_cycles\": {}, \"p99_cycles\": {}}}",
-            s.lanes, s.makespan_cycles, s.throughput_rpmc, s.p50_cycles, s.p99_cycles
-        );
-        json.push_str(if i + 1 < sims.len() { ",\n" } else { "\n" });
-    }
     json.push_str("  ],\n");
-    if let Some(speedup) = sim_speedup_4l {
-        let _ = writeln!(json, "  \"sim_speedup_4l\": {speedup:.3},");
-    }
     let _ = writeln!(json, "  \"memo_hits\": {},", report.stats.memo.hits);
     let _ = writeln!(json, "  \"memo_misses\": {},", report.stats.memo.misses);
     let _ = writeln!(json, "  \"memo_entries\": {},", report.stats.memo.entries);
@@ -415,17 +313,6 @@ fn main() {
         restore.salvaged,
         restore.rejected
     );
-    let _ = writeln!(
-        json,
-        "  \"network\": {{\"wall_ms\": {:.3}, \"rps\": {:.1}, \"connections\": {}, \
-         \"frames\": {}, \"decode_rejects\": {}, \"completed\": {}}},",
-        network_ms,
-        network_rps,
-        net_report.accepted,
-        net_report.frames,
-        net_report.decode_rejects,
-        net_report.stats.completed
-    );
     let _ = writeln!(json, "  \"shed\": {},", report.stats.shed);
     json.push_str("  \"bit_identical\": true\n}\n");
 
@@ -437,5 +324,19 @@ fn main() {
     if let Err(e) = trace.flush() {
         eprintln!("bench_serve: failed to flush trace: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentile;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let v = vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+        assert_eq!(percentile(&v, 0.50), 5);
+        assert_eq!(percentile(&v, 0.99), 10);
+        assert_eq!(percentile(&v, 0.0), 1);
+        assert_eq!(percentile(&[], 0.5), 0);
     }
 }

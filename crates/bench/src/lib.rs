@@ -6,7 +6,6 @@
 //! formatting.
 
 pub mod figures;
-pub mod harness;
 
 /// Renders a horizontal ASCII bar of proportional width.
 ///

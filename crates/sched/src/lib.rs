@@ -130,6 +130,11 @@ fn stream_summary_of(dfg: &Dfg) -> StreamSummary {
 /// CCA is present): MII calculation, priority, scheduling, register
 /// assignment.
 ///
+/// This is [`concretize`] with a fresh [`SymbolicSchedule`]: an empty
+/// cache computes RecMII and the priority order for real and charges
+/// exactly what they cost, so a point translation is the symbolic one run
+/// once.
+///
 /// # Errors
 ///
 /// Returns a [`ScheduleError`] when the loop cannot be mapped (too many
@@ -141,61 +146,5 @@ pub fn modulo_schedule(
     options: &ScheduleOptions,
     meter: &mut CostMeter,
 ) -> Result<ScheduledLoop, ScheduleError> {
-    let summary = options.streams.unwrap_or_else(|| stream_summary_of(dfg));
-    config
-        .check_streams(summary)
-        .map_err(ScheduleError::Capability)?;
-
-    let res = res_mii(dfg, config, summary, meter);
-    let rec = rec_mii(dfg, &config.latencies, meter);
-    let mii = res.max(rec);
-    if mii > config.max_ii {
-        return Err(ScheduleError::MiiExceedsControlStore {
-            mii,
-            max_ii: config.max_ii,
-        });
-    }
-
-    let order = match &options.static_order {
-        Some(order) => {
-            // Decoding a static order costs one pass over the loop
-            // (paper §4.2, Figure 9(c)).
-            meter.charge(veal_ir::Phase::HintDecode, dfg.len() as u64);
-            order.clone()
-        }
-        None => match options.priority {
-            PriorityKind::Swing => swing_order(dfg, &config.latencies, mii, meter),
-            PriorityKind::Height => height_order(dfg, &config.latencies, meter),
-        },
-    };
-
-    // Schedule, then assign registers; excessive register pressure is
-    // relieved by retrying at a higher II (longer kernels shorten the
-    // *relative* lifetimes, reducing the self-overlap that costs extra
-    // registers), up to the control-store depth.
-    let mut ii_floor = mii;
-    let mut last_pressure = None;
-    for _ in 0..8 {
-        let schedule = list_schedule(dfg, config, &order, ii_floor, summary, meter)?;
-        let achieved = schedule.ii;
-        match assign_registers(dfg, &schedule, config, meter) {
-            Ok(registers) => {
-                return Ok(ScheduledLoop {
-                    schedule,
-                    registers,
-                    mii,
-                })
-            }
-            Err(p) => {
-                last_pressure = Some(p);
-                if achieved >= config.max_ii {
-                    break;
-                }
-                ii_floor = achieved + 1;
-            }
-        }
-    }
-    Err(ScheduleError::Registers(
-        last_pressure.expect("retry loop ran at least once"),
-    ))
+    concretize(&SymbolicSchedule::new(), dfg, config, options, meter)
 }

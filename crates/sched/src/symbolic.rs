@@ -2,12 +2,12 @@
 //! scheduling pipeline, computed once per loop family and concretized per
 //! configuration.
 //!
-//! [`modulo_schedule`](crate::modulo_schedule) interleaves two kinds of
-//! work. RecMII and the priority order depend only on `(graph, latencies,
-//! II)` — for every configuration in an [`veal_accel::AcceleratorFamily`]
-//! (which fixes the latency model) they come out identical, and their
-//! charges are deterministic. ResMII, the list scheduler, and register
-//! assignment genuinely depend on unit/register counts and must run per
+//! The scheduling pipeline interleaves two kinds of work. RecMII and the
+//! priority order depend only on `(graph, latencies, II)` — for every
+//! configuration in an [`veal_accel::AcceleratorFamily`] (which fixes the
+//! latency model) they come out identical, and their charges are
+//! deterministic. ResMII, the list scheduler, and register assignment
+//! genuinely depend on unit/register counts and must run per
 //! configuration. A [`SymbolicSchedule`] caches the former — the RecMII
 //! value and, per distinct MII, the priority order, each with the exact
 //! [`PhaseBreakdown`] the real computation charged — so that
@@ -19,12 +19,15 @@
 //! symbolic loop compilation: the Swing ordering itself keeps no state
 //! between calls.
 //!
-//! The bit-identity contract: for any `(dfg, options)` pair the symbolic
-//! schedule was built against and any configuration with the family's
-//! latency model, `concretize` returns the same `Result` and charges the
-//! same per-phase costs as `modulo_schedule` — asserted by the property
-//! corpus below, by `bench_translate`'s concretize-vs-translate check and
-//! by `bench_dse`'s serial-vs-sweep check.
+//! [`concretize`] is the one copy of the pipeline. A point compilation,
+//! [`modulo_schedule`](crate::modulo_schedule), is `concretize` with a
+//! fresh `SymbolicSchedule`, whose empty caches compute and charge for
+//! real. So a cache reused across configurations and MIIs must answer
+//! exactly like a fresh one, result and per-phase charges alike —
+//! asserted by the property corpus below (which also pins the direct
+//! route's outputs to a recorded digest), by `bench_translate`'s
+//! concretize-vs-translate check and by `bench_dse`'s serial-vs-sweep
+//! check.
 
 use crate::mii::{rec_mii, res_mii};
 use crate::priority::{height_order, swing_order, PriorityKind};
@@ -152,14 +155,15 @@ fn replay(meter: &mut CostMeter, charges: &PhaseBreakdown) {
 /// caches and running the configuration-dependent suffix (ResMII, list
 /// scheduling, register assignment, II escalation) for real.
 ///
-/// Mirrors [`modulo_schedule`](crate::modulo_schedule) step for step —
-/// result and charges are bit-identical for every configuration sharing
-/// the latency model `sym` was filled under.
+/// Result and charges are the same for every configuration sharing the
+/// latency model `sym` was filled under, whether `sym` is fresh (as in
+/// [`modulo_schedule`](crate::modulo_schedule)) or already filled.
 ///
 /// # Errors
 ///
-/// Exactly [`modulo_schedule`](crate::modulo_schedule)'s errors: the loop
-/// cannot be mapped at this configuration.
+/// Returns a [`ScheduleError`] when the loop cannot be mapped at this
+/// configuration (too many streams, no II ≤ `max_ii` admits a schedule,
+/// or register pressure exceeds the file).
 pub fn concretize(
     sym: &SymbolicSchedule,
     dfg: &Dfg,
@@ -184,8 +188,9 @@ pub fn concretize(
         });
     }
 
-    // The order: decoded hints charge per decode (as in the direct path);
-    // dynamic priorities come from the per-MII cache.
+    // The order: decoding a static order costs one pass over the loop
+    // (paper §4.2, Figure 9(c)); dynamic priorities come from the per-MII
+    // cache.
     let static_entry;
     let cached_entry;
     let order: &[OpId] = match &options.static_order {
@@ -207,8 +212,10 @@ pub fn concretize(
         }
     };
 
-    // Configuration-dependent suffix, identical to `modulo_schedule`:
-    // schedule, assign registers, relieve pressure by escalating II.
+    // Schedule, then assign registers; excessive register pressure is
+    // relieved by retrying at a higher II (longer kernels shorten the
+    // *relative* lifetimes, reducing the self-overlap that costs extra
+    // registers), up to the control-store depth.
     let mut ii_floor = mii;
     let mut last_pressure = None;
     for _ in 0..8 {
@@ -365,6 +372,117 @@ mod tests {
             assert_identical(&direct, &symbolic);
             assert_eq!(m_direct.breakdown(), m_sym.breakdown());
         }
+    }
+
+    /// One corpus graph: a seeded synthetic loop, stream-separated and
+    /// CCA-mapped the way the translator prepares it.
+    fn corpus_dfg(case: u64) -> Option<(Dfg, veal_ir::streams::StreamSummary)> {
+        let mut rng = veal_ir::rng::Rng64::new(case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5C4E);
+        let body = veal_workloads::synth_loop(&veal_workloads::SynthSpec {
+            seed: rng.next_u64(),
+            compute_ops: rng.gen_range(2, 28),
+            fp_frac: if case.is_multiple_of(5) { 0.25 } else { 0.0 },
+            loads: rng.gen_range(0, 4),
+            stores: rng.gen_range(0, 2),
+            recurrences: rng.gen_range(0, 3),
+            rec_distance: 1 + (case as u32 % 3),
+        });
+        let mut meter = CostMeter::new();
+        let sep = veal_ir::streams::separate(&body.dfg, &mut meter).ok()?;
+        let summary = sep.summary();
+        let mut dfg = sep.dfg;
+        veal_cca::map_cca(&mut dfg, &veal_cca::CcaSpec::paper(), &mut meter);
+        Some((dfg, summary))
+    }
+
+    fn fold_outcome(
+        h: &mut veal_ir::rng::Fnv64,
+        out: &Result<ScheduledLoop, ScheduleError>,
+        meter: &CostMeter,
+    ) {
+        for &p in ALL_PHASES {
+            h.write_u64(meter.breakdown().get(p));
+        }
+        match out {
+            Ok(s) => {
+                h.write_u64(u64::from(s.mii));
+                h.write_u64(u64::from(s.schedule.ii));
+                for (op, t) in s.schedule.entries() {
+                    h.write_u64(op.index() as u64);
+                    h.write_u64(t as u64);
+                    h.write_str(&format!("{:?}", s.schedule.unit(op)));
+                }
+                h.write_str(&format!("{:?}", s.registers.pressure));
+                h.write_u64(s.registers.pinned_int as u64);
+                h.write_u64(s.registers.pinned_fp as u64);
+                let mut regs: Vec<_> = s.registers.assignment.iter().collect();
+                regs.sort();
+                for (op, reg) in regs {
+                    h.write_u64(op.index() as u64);
+                    h.write_u64(u64::from(*reg));
+                }
+            }
+            Err(e) => h.write_str(&format!("{e:?}")),
+        }
+    }
+
+    /// The direct route over a seeded corpus, at every configuration above
+    /// plus both error corners, under Swing, height and a static order,
+    /// folded into a digest recorded while `modulo_schedule` still ran its
+    /// own copy of the pipeline. On the way, one `SymbolicSchedule` per graph and
+    /// priority, reused across the configurations (and so across MIIs),
+    /// must answer exactly like the fresh one behind `modulo_schedule`.
+    #[test]
+    fn direct_route_matches_recorded_digest_over_corpus() {
+        let mut all = configs();
+        all.push(AcceleratorConfig::builder().load_streams(1).build());
+        all.push(AcceleratorConfig::builder().max_ii(2).build());
+        let mut h = veal_ir::rng::Fnv64::new();
+        let mut scheduled = 0u32;
+        for case in 0..120 {
+            let Some((dfg, summary)) = corpus_dfg(case) else {
+                continue;
+            };
+            let lat = &all[0].latencies;
+            let mii = rec_mii(&dfg, lat, &mut CostMeter::new());
+            let hinted = swing_order(&dfg, lat, mii, &mut CostMeter::new());
+            for options in [
+                ScheduleOptions::default(),
+                ScheduleOptions {
+                    priority: PriorityKind::Height,
+                    ..ScheduleOptions::default()
+                },
+                ScheduleOptions {
+                    static_order: Some(hinted),
+                    ..ScheduleOptions::default()
+                },
+            ] {
+                let options = ScheduleOptions {
+                    streams: Some(summary),
+                    ..options
+                };
+                let sym = SymbolicSchedule::new();
+                for config in &all {
+                    let mut m_direct = CostMeter::new();
+                    let direct = modulo_schedule(&dfg, config, &options, &mut m_direct);
+                    let mut m_sym = CostMeter::new();
+                    let reused = concretize(&sym, &dfg, config, &options, &mut m_sym);
+                    assert_identical(&direct, &reused);
+                    assert_eq!(m_direct.breakdown(), m_sym.breakdown(), "case {case}");
+                    fold_outcome(&mut h, &direct, &m_direct);
+                    scheduled += u32::from(direct.is_ok());
+                }
+            }
+        }
+        assert!(
+            scheduled > 1000,
+            "corpus degenerated: {scheduled} scheduled"
+        );
+        let (got, want) = (h.finish(), 0x836c_ff00_aa8a_cce6);
+        assert_eq!(
+            got, want,
+            "direct-route digest {got:#018x}, recorded {want:#018x}"
+        );
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //! * **Sharded memo + single-flight** — sessions share one
 //!   [`veal_vm::ShardedMemo`]: lock-striped lookups, and at most one
 //!   in-flight translation per key ([`veal_vm::MemoBackend`]).
+//! * **One admission path** — [`TranslationService::run_windowed`] and the
+//!   network reactor both admit, drain and report through a
+//!   [`SessionPool`].
 //! * **Admission control** — bounded per-tenant queues shed the *oldest*
 //!   queued request under overload ([`ServeStats::shed`]); the service
 //!   degrades by dropping stale work, never by blocking the stream.
@@ -30,18 +33,12 @@
 //! to replaying that tenant's admitted requests on a solo session.
 //! Concurrency may reorder work across tenants, never results within one.
 //! `tests/serve.rs` asserts this differentially over seeded corpora.
-//!
-//! Wall-clock throughput depends on host cores; the paper-style numbers
-//! come from [`lanes`], a deterministic abstract-cycle simulation of the
-//! same dispatch policy (see `bench_serve`).
 
-pub mod lanes;
 pub mod loadgen;
 pub mod net;
 pub mod service;
 pub mod wire;
 
-pub use lanes::{percentile, simulate_lanes, LaneReport, DISPATCH_OVERHEAD_CYCLES};
 pub use loadgen::{generate, LoadSpec};
 pub use net::{ClientOutcome, NetConfig, NetReport, NetServer, WireClient};
 pub use service::{

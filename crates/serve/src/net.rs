@@ -74,7 +74,10 @@ pub struct NetConfig {
     /// work for this long is evicted.
     pub idle_timeout: Duration,
     /// Accept cap; connections beyond it get [`ErrorCode::Overloaded`]
-    /// and an immediate close.
+    /// and an immediate close. It also bounds tenant indices: a hello
+    /// naming tenant `max_connections` or above gets
+    /// [`ErrorCode::BadHello`] and its connection closes, so no client can
+    /// make the server build sessions beyond this count.
     pub max_connections: usize,
     /// Per-connection cap on admitted-but-unanswered requests. A
     /// connection at the cap is not refused but held back: the reactor
@@ -83,8 +86,6 @@ pub struct NetConfig {
     /// picks the connection up again on the next pass, once the drain has
     /// answered its requests.
     pub max_inflight: usize,
-    /// Per-frame length cap (see [`crate::wire::MAX_FRAME_LEN`]).
-    pub max_frame_len: usize,
 }
 
 impl Default for NetConfig {
@@ -94,7 +95,6 @@ impl Default for NetConfig {
             idle_timeout: Duration::from_secs(30),
             max_connections: 64,
             max_inflight: 64,
-            max_frame_len: MAX_FRAME_LEN,
         }
     }
 }
@@ -214,6 +214,7 @@ impl NetServer {
             config,
         } = self;
         let translator_family_fp = service.config().family.as_ref().map(|f| f.fingerprint());
+        let max_tenants = config.max_connections.max(1);
         let mut pool = service.session_pool(0);
         let mut report = NetReport::default();
         let mut conns: Vec<Option<Conn>> = Vec::new();
@@ -318,7 +319,7 @@ impl NetServer {
                     if conn.held {
                         break;
                     }
-                    match decode_frame(&conn.rbuf[at..], config.max_frame_len) {
+                    match decode_frame(&conn.rbuf[at..], MAX_FRAME_LEN) {
                         FrameStatus::Incomplete => break,
                         FrameStatus::Fatal { reason } => {
                             service.trace().emit(|| Event::FrameReject {
@@ -352,6 +353,7 @@ impl NetServer {
                                 &mut bodies,
                                 &mut report,
                                 translator_family_fp,
+                                max_tenants,
                             ) {
                                 Handled::Ok => admitted_any = true,
                                 Handled::Quiet => {}
@@ -515,6 +517,7 @@ impl NetServer {
 
     /// Handles one well-formed frame. Module payloads pass through the
     /// full untrusted-bytes gauntlet here before any session sees them.
+    #[allow(clippy::too_many_arguments)]
     fn handle_frame(
         frame: WireFrame,
         slot: usize,
@@ -523,6 +526,7 @@ impl NetServer {
         bodies: &mut BodyRegistry,
         report: &mut NetReport,
         server_family_fp: Option<u64>,
+        max_tenants: usize,
     ) -> Handled {
         match frame {
             WireFrame::Hello {
@@ -550,7 +554,19 @@ impl NetServer {
                         return Handled::CloseConn;
                     }
                 }
-                conn.tenant = Some(tenant as usize);
+                // The pool grows to the largest tenant index it admits, so
+                // an unbounded index would let one hello allocate without
+                // bound.
+                let Some(tenant) = usize::try_from(tenant).ok().filter(|&t| t < max_tenants) else {
+                    conn.push_frame(&WireFrame::Error {
+                        seq: u32::MAX,
+                        code: ErrorCode::BadHello,
+                        message: format!("tenant {tenant} is not below {max_tenants}"),
+                    });
+                    report.responses += 1;
+                    return Handled::CloseConn;
+                };
+                conn.tenant = Some(tenant);
                 Handled::Quiet
             }
             WireFrame::ReqModule { seq, key, module } => {

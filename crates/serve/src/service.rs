@@ -12,7 +12,6 @@
 //! at a time ⇒ every tenant observes a strictly sequential invocation
 //! order ⇒ the solo-replay bit-identity invariant holds by construction.
 
-use crate::lanes::{simulate_lanes, LaneReport};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -82,10 +81,6 @@ pub struct ServeConfig {
     /// Per-tenant admission-queue bound; the oldest queued request is shed
     /// when a tenant's queue is full.
     pub queue_capacity: usize,
-    /// Shards of the shared memo (rounded up to a power of two).
-    pub shards: usize,
-    /// Whether concurrent misses on one key coalesce onto one translation.
-    pub single_flight: bool,
     /// Per-tenant code-cache entries.
     pub cache_entries: usize,
     /// Optional per-tenant code-cache byte budget (oversized translations
@@ -109,16 +104,14 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// The paper design point with serving defaults: 8 memo shards,
-    /// single-flight on, 16-entry caches, batch of 8, 64-deep queues.
+    /// The paper design point with serving defaults: 16-entry caches,
+    /// batch of 8, 64-deep queues.
     #[must_use]
     pub fn paper() -> Self {
         ServeConfig {
             threads: veal_par::thread_count(),
             batch_size: 8,
             queue_capacity: 64,
-            shards: 8,
-            single_flight: true,
             cache_entries: 16,
             cache_byte_budget: None,
             translation_budget: None,
@@ -281,19 +274,6 @@ impl ServeReport {
         all.sort_unstable();
         all
     }
-
-    /// Replays this run's per-request simulated costs through the
-    /// deterministic lane model (same dispatch policy, abstract cycles) —
-    /// the host-independent throughput/latency figures.
-    #[must_use]
-    pub fn lane_model(&self, lanes: usize, batch_size: usize) -> LaneReport {
-        let costs: Vec<Vec<u64>> = self
-            .tenants
-            .iter()
-            .map(|t| t.outcomes.iter().map(|o| o.translation_cycles).collect())
-            .collect();
-        simulate_lanes(&costs, lanes, batch_size)
-    }
 }
 
 /// A queued request awaiting dispatch.
@@ -338,6 +318,10 @@ fn retry_backoff(base: Duration, retry: u64) -> Duration {
     base.saturating_mul(1u32 << exp)
 }
 
+/// Lock stripes of the shared memo: enough that tenants on different keys
+/// rarely contend, at the default thread counts.
+const MEMO_SHARDS: usize = 8;
+
 /// Worker coordination for one drain phase.
 struct Dispatch {
     /// Tenant indices with queued work and no worker attached.
@@ -363,11 +347,9 @@ impl TranslationService {
     /// successive runs reuse translations (warm arms).
     #[must_use]
     pub fn new(config: ServeConfig) -> Self {
-        let memo =
-            Arc::new(ShardedMemo::new(config.shards).with_single_flight(config.single_flight));
         TranslationService {
             config,
-            memo,
+            memo: Arc::new(ShardedMemo::new(MEMO_SHARDS)),
             trace: Trace::null(),
             checkpoint: None,
         }
@@ -497,9 +479,8 @@ impl TranslationService {
 
     /// One tenant's serving state, configured exactly like
     /// [`ServeConfig::solo_session`] plus the shared memo and trace — the
-    /// construction both [`TranslationService::run_windowed`] and
-    /// [`TranslationService::session_pool`] use, so the bit-identity
-    /// invariant holds for either entry point.
+    /// construction every [`SessionPool`] uses, so the bit-identity
+    /// invariant holds for every entry point.
     fn tenant_state(&self) -> TenantState {
         let mut session = self
             .config
@@ -527,7 +508,6 @@ impl TranslationService {
             tenants: (0..tenant_count)
                 .map(|_| Mutex::new(self.tenant_state()))
                 .collect(),
-            queue_capacity: self.config.queue_capacity,
             stats: ServeStats::default(),
         }
     }
@@ -543,6 +523,9 @@ impl TranslationService {
     /// Shedding only occurs when a single window overruns a tenant's queue
     /// bound, so the window size is the offered-load knob.
     ///
+    /// Every request goes through one [`SessionPool`], under the token of
+    /// its index in `requests`.
+    ///
     /// # Panics
     ///
     /// Panics if `window` is 0.
@@ -555,14 +538,7 @@ impl TranslationService {
         let entries_before = MemoBackend::stats(&*self.memo).entries as u64;
 
         let tenant_count = requests.iter().map(|r| r.tenant + 1).max().unwrap_or(0);
-        let tenants: Vec<Mutex<TenantState>> = (0..tenant_count)
-            .map(|_| Mutex::new(self.tenant_state()))
-            .collect();
-
-        let mut stats = ServeStats {
-            offered: requests.len() as u64,
-            ..ServeStats::default()
-        };
+        let mut pool = self.session_pool(tenant_count);
         let mut base = 0usize;
         let mut windows = 0usize;
         for chunk in requests.chunks(window.min(requests.len().max(1))) {
@@ -570,43 +546,30 @@ impl TranslationService {
             // requests survive the queue bound is a pure function of the
             // stream — shedding is deterministic regardless of threads.
             for (offset, r) in chunk.iter().enumerate() {
-                meters().offered.inc();
-                let seq = base + offset;
-                let mut tenant = tenants[r.tenant]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                // `>=`, not `==`: if the queue is ever *over* the bound
-                // (e.g. the capacity shrank between windows), every excess
-                // request is shed, not just one — an equality check would
-                // leave the queue permanently over bound.
-                while tenant.queue.len() >= self.config.queue_capacity.max(1) {
-                    tenant.queue.pop_front();
-                    stats.shed += 1;
-                    meters().shed.inc();
-                }
-                tenant.queue.push_back(Admitted {
-                    seq,
-                    key: r.key,
-                    body: Arc::clone(&r.body),
-                    hints: Arc::clone(&r.hints),
-                    admitted_at: Instant::now(),
-                });
+                pool.admit(
+                    r.tenant,
+                    base + offset,
+                    r.key,
+                    Arc::clone(&r.body),
+                    Arc::clone(&r.hints),
+                );
             }
             base += chunk.len();
-            stats.batches += self.drain(&tenants);
+            pool.drain();
             windows += 1;
             if let Some(policy) = &self.checkpoint {
                 if policy.every_windows > 0 && windows.is_multiple_of(policy.every_windows) {
-                    self.write_checkpoint(policy, &mut stats);
+                    self.write_checkpoint(policy, &mut pool.stats);
                 }
             }
         }
         // The shutdown snapshot: every run ends with the warm state on
         // disk, so a crash between runs costs nothing.
         if let Some(policy) = &self.checkpoint {
-            self.write_checkpoint(policy, &mut stats);
+            self.write_checkpoint(policy, &mut pool.stats);
         }
 
+        let mut stats = pool.stats;
         stats.completed = stats.offered - stats.shed;
         stats.computes = self.memo.computes() - computes_before;
         stats.coalesced = self.memo.coalesced() - coalesced_before;
@@ -615,21 +578,7 @@ impl TranslationService {
         stats.memo = MemoBackend::stats(&*self.memo);
         stats.wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
-        let tenants: Vec<TenantReport> = tenants
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let t = t.into_inner().unwrap_or_else(PoisonError::into_inner);
-                debug_assert!(t.queue.is_empty(), "drain left queued work");
-                TenantReport {
-                    tenant: i,
-                    stats: t.session.stats().clone(),
-                    cache: t.session.cache_stats(),
-                    concretize: t.session.concretize_stats(),
-                    outcomes: t.outcomes,
-                }
-            })
-            .collect();
+        let tenants = pool.into_reports();
         // Concretize counters are session-lifetime; windowed runs reuse the
         // sessions across windows, so per-run totals are exact here.
         stats.concretizations = tenants.iter().map(|t| t.concretize.concretizations).sum();
@@ -731,10 +680,10 @@ impl TranslationService {
     }
 }
 
-/// Persistent per-tenant sessions behind the same admission, shedding, and
-/// dispatch machinery as [`TranslationService::run_windowed`], for callers
-/// that feed requests incrementally — the network reactor in [`crate::net`]
-/// — rather than as one pre-materialized stream.
+/// Persistent per-tenant sessions behind the service's one admission,
+/// shedding, and dispatch path: [`TranslationService::run_windowed`] feeds
+/// it one window of a pre-materialized stream at a time, and the network
+/// reactor in [`crate::net`] one decoded frame at a time.
 ///
 /// The serving invariant carries over unchanged: admission happens on the
 /// caller's single thread (deterministic shed-oldest under the queue
@@ -750,14 +699,13 @@ impl TranslationService {
 pub struct SessionPool<'a> {
     service: &'a TranslationService,
     tenants: Vec<Mutex<TenantState>>,
-    queue_capacity: usize,
     stats: ServeStats,
 }
 
 impl SessionPool<'_> {
     /// Queues one request for `tenant`, growing the pool if the tenant is
     /// new, and returns the tokens of any requests shed to keep the queue
-    /// within the current capacity (oldest first). Admission is
+    /// within [`ServeConfig::queue_capacity`] (oldest first). Admission is
     /// caller-threaded, so shedding stays a pure function of the admission
     /// order.
     pub fn admit(
@@ -777,9 +725,7 @@ impl SessionPool<'_> {
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let mut shed = Vec::new();
-        // `>=` sheds *all* overflow: after a capacity shrink the queue may
-        // sit above the new bound, and every excess entry must go.
-        while state.queue.len() >= self.queue_capacity.max(1) {
+        while state.queue.len() >= self.service.config.queue_capacity.max(1) {
             let old = state.queue.pop_front().expect("len checked above");
             shed.push(old.seq);
             self.stats.shed += 1;
@@ -793,12 +739,6 @@ impl SessionPool<'_> {
             admitted_at: Instant::now(),
         });
         shed
-    }
-
-    /// Rebounds the per-tenant admission queues from the next `admit` on.
-    /// Queues already over the new bound shed down to it at that point.
-    pub fn set_queue_capacity(&mut self, capacity: usize) {
-        self.queue_capacity = capacity;
     }
 
     /// Drains every queued request through the worker pool; returns the
@@ -1122,38 +1062,6 @@ mod tests {
         assert_eq!(report.stats.completed, 10, "serving must not be harmed");
         assert_eq!(report.stats.checkpoints, 0);
         assert_eq!(report.stats.checkpoint_retries, 40);
-    }
-
-    #[test]
-    fn a_shrunk_queue_capacity_sheds_the_backlog_down_to_bound() {
-        // Regression for the `==` admission check: with the queue already
-        // over a *shrunk* bound, equality never fires and the queue stays
-        // over capacity forever. `>=` sheds every excess entry.
-        let (cfg, stream) = small_stream(30);
-        let service = TranslationService::new(cfg);
-        let mut pool = service.session_pool(1);
-        pool.set_queue_capacity(8);
-        let mut shed = Vec::new();
-        for (i, r) in stream.iter().take(6).enumerate() {
-            shed.extend(pool.admit(0, i, r.key, Arc::clone(&r.body), Arc::clone(&r.hints)));
-        }
-        assert!(shed.is_empty(), "six queued under a bound of eight");
-        // Capacity shrinks mid-run; the next admission must shed the
-        // entire overflow (tokens 0..=4), keep the newest survivor, and
-        // leave the queue exactly at the new bound.
-        pool.set_queue_capacity(2);
-        let r = &stream[6];
-        let shed_now = pool.admit(0, 6, r.key, Arc::clone(&r.body), Arc::clone(&r.hints));
-        assert_eq!(shed_now, vec![0, 1, 2, 3, 4], "oldest first, all overflow");
-        pool.drain();
-        let outcomes = pool.take_outcomes(0);
-        assert_eq!(
-            outcomes.iter().map(|o| o.seq).collect::<Vec<_>>(),
-            vec![5, 6],
-            "exactly the bounded queue survived, in admission order"
-        );
-        assert_eq!(pool.stats().offered, 7);
-        assert_eq!(pool.stats().shed, 5);
     }
 
     #[test]

@@ -302,12 +302,12 @@ struct Shard {
 ///
 /// Lookups hash the [`MemoKey`] to one of N independent shards (N rounded
 /// up to a power of two), so concurrent tenants contend only when their
-/// keys collide, not on one global mutex. With single-flight enabled
-/// (the default), K concurrent requests for the same untranslated key run
-/// exactly one translation: the first becomes the *leader*, the other K−1
-/// block on a [`Condvar`] and receive the leader's outcome. A leader that
-/// panics publishes `Abandoned` from its drop guard and the waiters
-/// re-elect, so a crashed worker can never wedge a key.
+/// keys collide, not on one global mutex. K concurrent requests for the
+/// same untranslated key run exactly one translation (single-flight): the
+/// first becomes the *leader*, the other K−1 block on a [`Condvar`] and
+/// receive the leader's outcome. A leader that panics publishes
+/// `Abandoned` from its drop guard and the waiters re-elect, so a crashed
+/// worker can never wedge a key.
 ///
 /// Single-threaded, the per-shard counters fold to exactly what one
 /// [`TranslationMemo`] would have recorded on the same request sequence —
@@ -316,7 +316,6 @@ struct Shard {
 pub struct ShardedMemo {
     shards: Box<[Shard]>,
     mask: u64,
-    single_flight: bool,
     computes: AtomicU64,
     coalesced: AtomicU64,
 }
@@ -325,7 +324,7 @@ impl ShardedMemo {
     /// Creates a memo striped over `shards` locks (rounded up to a power of
     /// two, clamped to `1..=65536` — zero is a configuration accident that
     /// must not panic, and a count near `usize::MAX` would overflow
-    /// `next_power_of_two`), with single-flight enabled.
+    /// `next_power_of_two`).
     #[must_use]
     pub fn new(shards: usize) -> Self {
         let n = shards.clamp(1, 1 << 16).next_power_of_two();
@@ -337,20 +336,9 @@ impl ShardedMemo {
                 })
                 .collect(),
             mask: (n - 1) as u64,
-            single_flight: true,
             computes: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
         }
-    }
-
-    /// Enables or disables the single-flight layer. Disabling it lets
-    /// concurrent requests for one key translate redundantly (every racer
-    /// computes; first insert wins) — the serving benchmark uses this to
-    /// measure the duplicate work single-flight removes.
-    #[must_use]
-    pub fn with_single_flight(mut self, on: bool) -> Self {
-        self.single_flight = on;
-        self
     }
 
     /// Number of shards (a power of two).
@@ -359,10 +347,9 @@ impl ShardedMemo {
         self.shards.len()
     }
 
-    /// Translations actually computed through this memo (leaders plus
-    /// redundant racers when single-flight is off). With single-flight on
-    /// and no panics this equals [`MemoStats::entries`]; the difference is
-    /// the duplicate-translation count.
+    /// Translations actually computed through this memo (one per leader).
+    /// With no panics this equals [`MemoStats::entries`]; the difference
+    /// is the duplicate-translation count.
     #[must_use]
     pub fn computes(&self) -> u64 {
         self.computes.load(Ordering::Relaxed)
@@ -376,7 +363,8 @@ impl ShardedMemo {
     }
 
     /// Translations computed redundantly: computes minus distinct keys
-    /// stored. Zero under single-flight.
+    /// stored. Single-flight keeps this at zero; the contention tests gate
+    /// on it.
     #[must_use]
     pub fn duplicate_translations(&self) -> u64 {
         self.computes().saturating_sub(self.stats().entries as u64)
@@ -477,12 +465,6 @@ impl MemoBackend for ShardedMemo {
         // Counted lookup, identical to the unsharded fast path.
         if let Some(hit) = shard.memo.get(key) {
             return (hit, true);
-        }
-        if !self.single_flight {
-            let outcome = compute();
-            self.record_compute();
-            shard.memo.insert(*key, outcome.clone());
-            return (outcome, false);
         }
         loop {
             enum Role {

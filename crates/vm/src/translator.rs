@@ -2,6 +2,7 @@
 
 use crate::hints::StaticHints;
 use crate::verify::{verify_and_apply_cca, verify_priority, HintVerdict};
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::OnceLock;
 use veal_accel::{AcceleratorConfig, AcceleratorFamily};
@@ -11,9 +12,7 @@ use veal_ir::meter::ALL_PHASES;
 use veal_ir::streams::{separate, SeparationError, StreamSummary};
 use veal_ir::{CostMeter, LoopBody, OpId, Phase, PhaseBreakdown};
 use veal_obs::{metrics, Counter, Histogram, Trace};
-use veal_sched::{
-    modulo_schedule, PriorityKind, ScheduleError, ScheduleOptions, ScheduledLoop, SymbolicSchedule,
-};
+use veal_sched::{PriorityKind, ScheduleError, ScheduleOptions, ScheduledLoop, SymbolicSchedule};
 
 /// Wall-clock per [`Translator::translate`] call. Wall time lives only in
 /// the metrics registry — never in trace events — and is only measured
@@ -205,7 +204,8 @@ impl TranslationOutcome {
 /// ([`crate::memo::MemoEntry::Family`]); every session dispatching on a
 /// member configuration turns it into a concrete [`TranslationOutcome`]
 /// with [`Translator::concretize`], bit-identical to what
-/// [`Translator::translate`] would have produced directly.
+/// [`Translator::translate`] would have produced directly (`translate`
+/// builds one too, and consumes it).
 #[derive(Debug)]
 pub struct SymbolicTranslation {
     /// Ops in the original (pre-separation) body; drives the deterministic
@@ -411,49 +411,22 @@ impl Translator {
     /// The pipeline mirrors Figure 5's walkthrough: loop identification,
     /// control/stream separation, CCA mapping (decoded from hints when the
     /// policy and binary allow, recomputed otherwise), MII, priority
-    /// (likewise), scheduling, register assignment.
+    /// (likewise), scheduling, register assignment. It is
+    /// [`Translator::translate_symbolic`] followed by the suffix
+    /// [`Translator::concretize`] runs, with a fresh symbolic cache; the
+    /// separated graph moves into the result.
     #[must_use]
     pub fn translate(&self, body: &LoopBody, hints: &StaticHints) -> TranslationOutcome {
         let _wall = self.trace.timer(translate_wall_ns());
-        let mut meter = CostMeter::new();
-        let (dfg, summary, cca_groups, static_order, verdict) =
-            match self.prefix(body, hints, &mut meter) {
-                Ok(p) => p,
-                Err(e) => {
-                    record_phase_units(meter.breakdown());
-                    return TranslationOutcome {
-                        result: Err(TranslationError::Unsupported(e)),
-                        breakdown: *meter.breakdown(),
-                        verdict: HintVerdict::default(),
-                    };
-                }
-            };
-
-        let options = ScheduleOptions {
-            priority: self.policy.priority,
-            static_order,
-            streams: Some(summary),
-        };
-        let result = match modulo_schedule(&dfg, &self.config, &options, &mut meter) {
-            Ok(scheduled) => {
-                let control_words = scheduled.schedule.control_words(&self.config);
-                Ok(TranslatedLoop {
-                    accel_ops: dfg.schedulable_ops().count(),
-                    scheduled,
-                    streams: summary,
-                    control_words,
-                    cca_groups,
-                    dfg,
-                })
-            }
-            Err(e) => Err(TranslationError::Schedule(e)),
-        };
-        record_phase_units(meter.breakdown());
-        TranslationOutcome {
-            result,
-            breakdown: *meter.breakdown(),
+        let SymbolicTranslation {
+            prefix,
             verdict,
-        }
+            body,
+            ..
+        } = self.translate_symbolic(body, hints);
+        let outcome = self.suffix(&prefix, verdict, body, |b| b.dfg);
+        record_phase_units(&outcome.breakdown);
+        outcome
     }
 
     /// Lowers `body` all the way to a host-executable LoopVM artifact
@@ -542,33 +515,52 @@ impl Translator {
         phase_unit_counters()[ALL_PHASES.len() - 1].add(units);
         concretize_calls().inc();
 
+        self.suffix(
+            &sym.prefix,
+            sym.verdict.clone(),
+            sym.body.as_ref().map_err(Clone::clone),
+            |b| b.dfg.clone(),
+        )
+    }
+
+    /// The suffix both routes share: replays the prefix charges into a
+    /// fresh meter, schedules through [`veal_sched::concretize`] and
+    /// assembles the [`TranslatedLoop`]. Once scheduling is done, `graph`
+    /// hands the loop its own separated graph: the direct route moves the
+    /// one it just built, the family route clones it out of the shared
+    /// memo entry.
+    fn suffix<B: Borrow<SymbolicBody>>(
+        &self,
+        prefix: &PhaseBreakdown,
+        verdict: HintVerdict,
+        body: Result<B, SeparationError>,
+        graph: impl FnOnce(B) -> Dfg,
+    ) -> TranslationOutcome {
         let mut meter = CostMeter::new();
         for &p in ALL_PHASES {
-            let c = sym.prefix.get(p);
+            let c = prefix.get(p);
             if c != 0 {
                 meter.charge(p, c);
             }
         }
-        let result = match &sym.body {
-            Err(e) => Err(TranslationError::Unsupported(e.clone())),
-            Ok(b) => {
+        let result = match body {
+            Err(e) => Err(TranslationError::Unsupported(e)),
+            Ok(owner) => {
+                let b = owner.borrow();
                 let options = ScheduleOptions {
                     priority: self.policy.priority,
                     static_order: b.static_order.clone(),
                     streams: Some(b.summary),
                 };
                 match veal_sched::concretize(&b.sym, &b.dfg, &self.config, &options, &mut meter) {
-                    Ok(scheduled) => {
-                        let control_words = scheduled.schedule.control_words(&self.config);
-                        Ok(TranslatedLoop {
-                            accel_ops: b.dfg.schedulable_ops().count(),
-                            scheduled,
-                            streams: b.summary,
-                            control_words,
-                            cca_groups: b.cca_groups,
-                            dfg: b.dfg.clone(),
-                        })
-                    }
+                    Ok(scheduled) => Ok(TranslatedLoop {
+                        accel_ops: b.dfg.schedulable_ops().count(),
+                        control_words: scheduled.schedule.control_words(&self.config),
+                        scheduled,
+                        streams: b.summary,
+                        cca_groups: b.cca_groups,
+                        dfg: graph(owner),
+                    }),
                     Err(e) => Err(TranslationError::Schedule(e)),
                 }
             }
@@ -576,7 +568,7 @@ impl Translator {
         TranslationOutcome {
             result,
             breakdown: *meter.breakdown(),
-            verdict: sym.verdict.clone(),
+            verdict,
         }
     }
 

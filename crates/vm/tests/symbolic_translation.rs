@@ -9,7 +9,8 @@
 use std::sync::Arc;
 use veal_accel::{AcceleratorConfig, AcceleratorFamily};
 use veal_cca::CcaSpec;
-use veal_ir::rng::Rng64;
+use veal_ir::meter::ALL_PHASES;
+use veal_ir::rng::{Fnv64, Rng64};
 use veal_ir::{CostMeter, LoopBody, Phase};
 use veal_vm::{
     compute_hints, MemoBackend, ShardedMemo, StaticHints, TranslationMemo, TranslationOutcome,
@@ -99,12 +100,50 @@ fn assert_outcomes_identical(
     }
 }
 
+/// Folds everything a translation outcome reports into `h`: per-phase
+/// charges, verdict, and the schedule (II, times, units), registers and
+/// graph of a mapped loop, or the error.
+fn fold_outcome(h: &mut Fnv64, out: &TranslationOutcome) {
+    for &p in ALL_PHASES {
+        h.write_u64(out.breakdown.get(p));
+    }
+    h.write_str(&format!("{:?}", out.verdict));
+    match &out.result {
+        Ok(t) => {
+            h.write_u64(t.dfg.content_hash());
+            h.write_u64(u64::from(t.scheduled.mii));
+            h.write_u64(u64::from(t.scheduled.schedule.ii));
+            for (op, time) in t.scheduled.schedule.entries() {
+                h.write_u64(op.index() as u64);
+                h.write_u64(time as u64);
+                h.write_str(&format!("{:?}", t.scheduled.schedule.unit(op)));
+            }
+            h.write_str(&format!("{:?}", t.scheduled.registers.pressure));
+            let mut regs: Vec<_> = t.scheduled.registers.assignment.iter().collect();
+            regs.sort();
+            for (op, reg) in regs {
+                h.write_u64(op.index() as u64);
+                h.write_u64(u64::from(*reg));
+            }
+            h.write_u64(t.control_words as u64);
+            h.write_u64(t.cca_groups as u64);
+            h.write_u64(t.accel_ops as u64);
+            h.write_str(&format!("{:?}", t.streams));
+        }
+        Err(e) => h.write_str(&format!("{e:?}")),
+    }
+}
+
 /// Property 1 (the tentpole gate): one symbolic translation per loop,
 /// concretized at every family member, equals direct translation — across
-/// hint regimes (none, computed, quarantine-style garbage).
+/// hint regimes (none, computed, quarantine-style garbage). Direct
+/// translation is itself a concretization with a fresh cache, so its
+/// outputs are also folded into a digest recorded while it still ran its
+/// own copy of the scheduling pipeline.
 #[test]
 fn symbolic_concretize_equals_direct_translation_over_corpus() {
     let spec = CcaSpec::paper();
+    let mut digest = Fnv64::new();
     let mut mapped = 0u64;
     let mut concretize_units = 0u64;
     for case in 0..CASES {
@@ -129,6 +168,7 @@ fn symbolic_concretize_equals_direct_translation_over_corpus() {
             let mut cm = CostMeter::new();
             let concrete = t.concretize(&sym, &mut cm);
             assert_outcomes_identical(case, config, &direct, &concrete);
+            fold_outcome(&mut digest, &direct);
             assert!(
                 cm.breakdown().get(Phase::Concretize) > 0,
                 "concretization must charge the concretize meter"
@@ -144,6 +184,11 @@ fn symbolic_concretize_equals_direct_translation_over_corpus() {
     }
     assert!(mapped > 300, "corpus degenerated: only {mapped} mapped");
     assert!(concretize_units > 0);
+    let (got, want) = (digest.finish(), 0x994a_5088_9709_c697);
+    assert_eq!(
+        got, want,
+        "direct-translation digest {got:#018x}, recorded {want:#018x}"
+    );
 }
 
 /// Property 2: a family-mode session sweep over N member configurations

@@ -283,6 +283,108 @@ fn protocol_misuse_earns_typed_errors() {
     assert!(report.responses >= 2, "both misuses were answered");
 }
 
+/// A hello may name only a tenant below `max_connections`: the pool grows
+/// to the largest tenant index it admits, so a larger index would let one
+/// client make the server allocate without bound. Tenant 4 under a cap of
+/// 4 is refused at hello and its connection closed, while tenant 3 on
+/// another connection is served exactly as in process.
+#[test]
+fn hellos_naming_a_tenant_past_the_connection_cap_are_refused() {
+    let cfg = ServeConfig {
+        threads: 1,
+        ..ServeConfig::paper()
+    };
+    let mut stream = generate(&spec(0x7E4, 8, 1), &cfg.config, cfg.cca.as_ref());
+    for r in &mut stream {
+        r.tenant = 3;
+    }
+    let reference = TranslationService::new(cfg.clone()).run(&stream);
+    let net = NetConfig {
+        max_connections: 4,
+        ..NetConfig::default()
+    };
+    let (addr, handle) = spawn_server(cfg.clone(), net);
+
+    // Tenant 4: the hello and a request in one write. Neither is served;
+    // the connection closes once the refusals flush.
+    {
+        let req = &stream[0];
+        let mut burst = encode_frame(&WireFrame::Hello {
+            version: WIRE_VERSION,
+            tenant: 4,
+            family_fp: None,
+        });
+        burst.extend_from_slice(&encode_frame(&WireFrame::ReqModule {
+            seq: 0,
+            key: req.key,
+            module: encode_module(&BinaryModule {
+                loops: vec![EncodedLoop {
+                    body: (*req.body).clone(),
+                    priority_hint: req.hints.priority.clone(),
+                    cca_hint: req.hints.cca_groups.clone(),
+                    family_hint: None,
+                }],
+            }),
+        }));
+        let mut s = TcpStream::connect(&addr).expect("connect");
+        s.write_all(&burst).expect("send hello and request");
+        let mut rbuf = Vec::new();
+        assert!(
+            matches!(
+                read_frame(&mut s, &mut rbuf),
+                WireFrame::Error {
+                    code: ErrorCode::BadHello,
+                    ..
+                }
+            ),
+            "tenant 4's hello must be refused with BadHello"
+        );
+        // Whatever else arrives before the close is a refusal, never an
+        // outcome.
+        loop {
+            match decode_frame(&rbuf, MAX_FRAME_LEN) {
+                FrameStatus::Frame { frame, consumed } => {
+                    assert!(
+                        matches!(frame, WireFrame::Error { .. }),
+                        "tenant 4 was served"
+                    );
+                    rbuf.drain(..consumed);
+                }
+                FrameStatus::Incomplete => {
+                    let mut chunk = [0u8; 1024];
+                    match s.read(&mut chunk) {
+                        Ok(0) | Err(_) => break,
+                        Ok(n) => rbuf.extend_from_slice(&chunk[..n]),
+                    }
+                }
+                other => panic!("server sent a malformed frame: {other:?}"),
+            }
+        }
+    }
+
+    // Tenant 3, the last index under the cap, is served bit-identically.
+    let mut c = WireClient::connect(&addr, 3, None, cfg.config.clone()).expect("connect");
+    for (req, want) in stream.iter().zip(&reference.tenants[3].outcomes) {
+        let o = c.request(req.key, &req.body, &req.hints).expect("request");
+        assert!(o.error.is_none(), "tenant 3 must be served");
+        assert_eq!(o.translation_cycles, want.translation_cycles);
+        let want_bytes = want
+            .translated
+            .as_deref()
+            .map(|t| encode_translated_loop(t).expect("schedule encodes"));
+        assert_eq!(o.translated_bytes, want_bytes);
+    }
+    c.shutdown().expect("graceful shutdown");
+    let report = handle.join().expect("server thread");
+    assert!(
+        report.tenants.len() <= 4,
+        "{} sessions built under a cap of 4",
+        report.tenants.len()
+    );
+    assert_eq!(report.stats.completed, 8);
+    assert_eq!(report.tenants[3].stats, reference.tenants[3].stats);
+}
+
 /// Connections past the idle deadline are evicted; live ones are not.
 #[test]
 fn idle_connections_are_evicted_at_the_deadline() {
